@@ -1,9 +1,9 @@
 //! Micro-benchmarks of the numerical kernels the reconstruction stack
 //! is built on: Cholesky factor/solve, the Jacobi eigensolver (the SDP
-//! cone projection), sparse CG, and ADMM on reference QP/SDP problems.
+//! cone projection), and ADMM on reference QP/SDP problems.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use domo_linalg::{cg_solve, project_psd, symmetric_eigen, CgOptions, Cholesky, CsrMatrix, Matrix};
+use domo_linalg::{project_psd, symmetric_eigen, Cholesky, Matrix};
 use domo_solver::{solve, QpBuilder, Settings};
 use domo_util::rng::Xoshiro256pp;
 use std::hint::black_box;
@@ -52,24 +52,6 @@ fn kernels(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("psd_projection", n), &sym, |b, m| {
             b.iter(|| project_psd(black_box(m)))
         });
-    }
-    {
-        // 1-D Laplacian CG at two sizes.
-        for n in [256usize, 1024] {
-            let mut t = Vec::new();
-            for i in 0..n {
-                t.push((i, i, 3.0));
-                if i + 1 < n {
-                    t.push((i, i + 1, -1.0));
-                    t.push((i + 1, i, -1.0));
-                }
-            }
-            let a = CsrMatrix::from_triplets(n, n, &t);
-            let rhs = vec![1.0; n];
-            group.bench_with_input(BenchmarkId::new("cg_laplacian", n), &a, |b, a| {
-                b.iter(|| cg_solve(black_box(a), &rhs, &CgOptions::default()))
-            });
-        }
     }
     group.finish();
 

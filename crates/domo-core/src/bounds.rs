@@ -92,7 +92,8 @@ pub struct BoundsStats {
     /// Worker threads that panicked; their targets fell back to the
     /// propagated intervals instead of aborting the run.
     pub failed_workers: usize,
-    /// Wall-clock solver time.
+    /// Solver time summed over the LPs (with several threads this can
+    /// exceed the wall time of the run).
     pub solve_time: Duration,
 }
 
@@ -298,6 +299,7 @@ pub fn try_bounds_for(
                             cut_before: 0,
                             cut_after: 0,
                             unconverged: 2,
+                            solve_time: Duration::ZERO,
                         }));
                     }
                 }
@@ -312,6 +314,7 @@ pub fn try_bounds_for(
         stats.lp_solves += 2;
         stats.targets += 1;
         stats.unconverged_lps += r.unconverged;
+        stats.solve_time += r.solve_time;
         OBS_LP_SOLVES.add(2);
         OBS_UNCONVERGED.add(r.unconverged as u64);
         lb[r.target] = Some(r.lb);
@@ -335,6 +338,7 @@ struct TargetResult {
     cut_before: u64,
     cut_after: u64,
     unconverged: usize,
+    solve_time: Duration,
 }
 
 /// Extracts the sub-graph around `target`, solves the min/max LPs, and
@@ -369,8 +373,7 @@ fn solve_target(
     row_ids.dedup();
 
     let local = LocalProblem::new(&sub.vertices, intervals.lb[target]);
-    let (lo_val, hi_val) = solve_pair(
-        view,
+    let (lo_val, hi_val, solve_time) = solve_pair(
         cfg,
         intervals,
         &local,
@@ -397,6 +400,7 @@ fn solve_target(
         cut_before,
         cut_after,
         unconverged,
+        solve_time,
     }
 }
 
@@ -426,10 +430,9 @@ pub fn constraint_graph(num_vars: usize, system: &ConstraintSystem) -> Graph {
     g
 }
 
-/// Solves `min target` and `max target` over the sub-graph rows.
-#[allow(clippy::too_many_arguments)]
+/// Solves `min target` and `max target` over the sub-graph rows;
+/// returns the two optima and the solver time they took.
 fn solve_pair(
-    _view: &TraceView,
     cfg: &BoundsConfig,
     intervals: &Intervals,
     local: &LocalProblem,
@@ -437,36 +440,40 @@ fn solve_pair(
     row_ids: &[usize],
     in_set: &[bool],
     target: usize,
-) -> (f64, f64) {
-    let build = |sign: f64, stats_time: &mut Duration| -> Option<f64> {
-        let mut b = QpBuilder::new(local.num_vars());
-        local.add_boxes(&mut b, intervals);
-        for &ri in row_ids {
-            let row = &system.rows[ri];
-            match crate::constraints::restrict_row_to(row, in_set, intervals) {
-                crate::constraints::RowRestriction::Inside => local.add_row(&mut b, row),
-                crate::constraints::RowRestriction::Relaxed(new_row) => {
-                    local.add_row(&mut b, &new_row)
-                }
-                crate::constraints::RowRestriction::Vacuous => {}
+) -> (f64, f64, Duration) {
+    // Boxes, rows and warm start are the same for both directions.
+    let mut rows = QpBuilder::new(local.num_vars());
+    local.add_boxes(&mut rows, intervals);
+    for &ri in row_ids {
+        let row = &system.rows[ri];
+        match crate::constraints::restrict_row_to(row, in_set, intervals) {
+            crate::constraints::RowRestriction::Inside => local.add_row(&mut rows, row),
+            crate::constraints::RowRestriction::Relaxed(new_row) => {
+                local.add_row(&mut rows, &new_row)
             }
+            crate::constraints::RowRestriction::Vacuous => {}
         }
+    }
+    // Warm-starting at the HC4-tightened interval midpoints cuts the
+    // iteration count by roughly 5× (the boxes already surround the
+    // optimum tightly).
+    let warm: Vec<f64> = (0..local.num_vars())
+        .map(|lv| local.from_ms(intervals.midpoint(local.global(lv))))
+        .collect();
+
+    let mut solve_time = Duration::ZERO;
+    let mut solve = |sign: f64| -> Option<f64> {
         // The target is in its own sub-graph by construction; if that
         // ever broke, fall back to the propagated interval rather than
         // aborting the run.
         let lt = local.local(target)?;
+        let mut b = rows.clone();
         b.add_linear(lt, sign);
         // A whisper of curvature keeps the LP's ADMM iterates stable.
         b.add_quadratic(lt, lt, 1e-9);
-        // Warm-starting at the HC4-tightened interval midpoints cuts the
-        // iteration count by roughly 5× (the boxes already surround the
-        // optimum tightly).
-        let warm: Vec<f64> = (0..local.num_vars())
-            .map(|lv| local.from_ms(intervals.midpoint(local.global(lv))))
-            .collect();
         let problem = b.build().ok()?;
         let sol = try_solve_warm(&problem, &cfg.solver, Some(&warm)).ok()?;
-        *stats_time += sol.solve_time;
+        solve_time += sol.solve_time;
         // An unconverged iterate is not a valid bound; the caller falls
         // back to the propagated interval (1 ms acceptance matches the
         // paper's measurement resolution; window units are seconds).
@@ -476,11 +483,9 @@ fn solve_pair(
             None
         }
     };
-
-    let mut t = Duration::default();
-    let lo = build(1.0, &mut t).unwrap_or(f64::NEG_INFINITY);
-    let hi = build(-1.0, &mut t).unwrap_or(f64::INFINITY);
-    (lo, hi)
+    let lo = solve(1.0).unwrap_or(f64::NEG_INFINITY);
+    let hi = solve(-1.0).unwrap_or(f64::INFINITY);
+    (lo, hi, solve_time)
 }
 
 #[cfg(test)]
@@ -520,6 +525,18 @@ mod tests {
             inside as f64 >= 0.95 * total as f64,
             "only {inside}/{total} truths inside bounds"
         );
+    }
+
+    #[test]
+    fn solve_time_is_the_lps_share_of_the_run() {
+        let (_, view) = setup(33);
+        let targets: Vec<usize> = (0..view.num_vars()).step_by(9).collect();
+        let clock = std::time::Instant::now();
+        let b = bounds_for(&view, &BoundsConfig::default(), &targets);
+        let wall = clock.elapsed();
+        assert_eq!(b.stats.lp_solves, 2 * targets.len());
+        assert!(b.stats.solve_time > Duration::ZERO);
+        assert!(b.stats.solve_time <= wall, "single-threaded by default");
     }
 
     #[test]

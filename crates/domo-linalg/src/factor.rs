@@ -1,9 +1,9 @@
-//! Cholesky and LDLᵀ factorizations for symmetric positive (semi)definite
-//! systems.
+//! Dense Cholesky and LDLᵀ factorizations for symmetric positive
+//! definite and quasi-definite systems.
 //!
-//! The ADMM solvers in `domo-solver` repeatedly solve linear systems with
-//! a fixed KKT matrix; factoring once and back-substituting per iteration
-//! is the standard approach (OSQP does the same with LDLᵀ).
+//! The solver factors its KKT matrices with the sparse kernel in
+//! [`crate::ldl`]; these dense versions are the plain `O(n³)` textbook
+//! algorithms it is tested against, and what small dense callers use.
 
 use crate::dense::Matrix;
 
@@ -175,8 +175,8 @@ pub struct Ldlt {
 
 impl Ldlt {
     /// Minimum absolute pivot magnitude before the factorization is
-    /// declared singular.
-    const PIVOT_EPS: f64 = 1e-13;
+    /// declared singular (shared with the sparse kernel).
+    pub(crate) const PIVOT_EPS: f64 = 1e-13;
 
     /// Factors a symmetric (quasi-definite) matrix.
     ///

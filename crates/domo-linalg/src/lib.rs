@@ -6,13 +6,17 @@
 //! SDP ecosystem), so this crate provides them from scratch:
 //!
 //! 1. **Factor-and-solve** for the fixed KKT systems ADMM iterates
-//!    against: [`Cholesky`] (SPD) and [`Ldlt`] (quasi-definite).
+//!    against: a sparse LDLᵀ ([`LdlSymbolic`] / [`SparseLdlt`] over a
+//!    [`SymSparse`] matrix) with a minimum-degree ordering whose
+//!    symbolic step is shared by every re-factor of one pattern. The
+//!    dense [`Cholesky`] (SPD) and [`Ldlt`] (quasi-definite) are the
+//!    references its tests compare against.
 //! 2. **Symmetric eigendecomposition** ([`symmetric_eigen`], cyclic
 //!    Jacobi) powering the PSD-cone projection ([`project_psd`]) at the
 //!    heart of the semidefinite-relaxation solver.
-//! 3. **Sparse kernels** ([`CsrMatrix`]) and a preconditioned
-//!    [conjugate-gradient solver](cg_solve) for the large, extremely
-//!    sparse constraint systems Domo builds from packet traces.
+//! 3. **Sparse kernels** ([`CsrMatrix`]: `A x`, `Aᵀ y`, into
+//!    caller-owned buffers) for the large, extremely sparse constraint
+//!    systems Domo builds from packet traces.
 //!
 //! # Examples
 //!
@@ -28,14 +32,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cg;
 pub mod dense;
 pub mod eigen;
 pub mod factor;
+pub mod ldl;
 pub mod sparse;
 
-pub use cg::{cg_solve, CgOptions, CgSolution};
 pub use dense::{add_vec, axpy, dot, norm2, norm_inf, scale_vec, sub_vec, Matrix};
 pub use eigen::{min_eigenvalue, project_psd, symmetric_eigen, SymmetricEigen};
 pub use factor::{Cholesky, FactorError, Ldlt};
+pub use ldl::{LdlSymbolic, Pivots, SparseLdlt, SymSparse};
 pub use sparse::CsrMatrix;

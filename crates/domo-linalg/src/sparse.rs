@@ -120,16 +120,27 @@ impl CsrMatrix {
     ///
     /// Panics if `x.len() != self.cols()`.
     pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.cols, "dimension mismatch in matvec");
         let mut out = vec![0.0; self.rows];
+        self.matvec_into(x, &mut out);
+        out
+    }
+
+    /// [`CsrMatrix::matvec`] into a caller-owned buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != self.cols()` or `out.len() != self.rows()`.
+    pub fn matvec_into(&self, x: &[f64], out: &mut [f64]) {
+        assert_eq!(x.len(), self.cols, "dimension mismatch in matvec");
+        assert_eq!(out.len(), self.rows, "output length mismatch in matvec");
         for (r, o) in out.iter_mut().enumerate() {
+            let (lo, hi) = (self.row_ptr[r], self.row_ptr[r + 1]);
             let mut acc = 0.0;
-            for i in self.row_ptr[r]..self.row_ptr[r + 1] {
-                acc += self.values[i] * x[self.col_idx[i]];
+            for (&c, &v) in self.col_idx[lo..hi].iter().zip(&self.values[lo..hi]) {
+                acc += v * x[c];
             }
             *o = acc;
         }
-        out
     }
 
     /// Transposed product `Aᵀ y`.
@@ -138,17 +149,30 @@ impl CsrMatrix {
     ///
     /// Panics if `y.len() != self.rows()`.
     pub fn matvec_t(&self, y: &[f64]) -> Vec<f64> {
-        assert_eq!(y.len(), self.rows, "dimension mismatch in matvec_t");
         let mut out = vec![0.0; self.cols];
+        self.matvec_t_into(y, &mut out);
+        out
+    }
+
+    /// [`CsrMatrix::matvec_t`] into a caller-owned buffer (overwritten,
+    /// not accumulated into).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `y.len() != self.rows()` or `out.len() != self.cols()`.
+    pub fn matvec_t_into(&self, y: &[f64], out: &mut [f64]) {
+        assert_eq!(y.len(), self.rows, "dimension mismatch in matvec_t");
+        assert_eq!(out.len(), self.cols, "output length mismatch in matvec_t");
+        out.fill(0.0);
         for (r, &yr) in y.iter().enumerate() {
             if yr == 0.0 {
                 continue;
             }
-            for i in self.row_ptr[r]..self.row_ptr[r + 1] {
-                out[self.col_idx[i]] += self.values[i] * yr;
+            let (lo, hi) = (self.row_ptr[r], self.row_ptr[r + 1]);
+            for (&c, &v) in self.col_idx[lo..hi].iter().zip(&self.values[lo..hi]) {
+                out[c] += v * yr;
             }
         }
-        out
     }
 
     /// Converts to a dense matrix (test/diagnostic helper).
@@ -160,31 +184,6 @@ impl CsrMatrix {
             }
         }
         m
-    }
-
-    /// Computes `Aᵀ A + diag(shift)` densely — the Gram matrix the QP
-    /// solver factors once per problem.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shift.len() != self.cols()`.
-    pub fn gram_with_shift(&self, shift: &[f64]) -> Matrix {
-        assert_eq!(shift.len(), self.cols, "shift length must equal cols");
-        let mut g = Matrix::zeros(self.cols, self.cols);
-        for r in 0..self.rows {
-            let lo = self.row_ptr[r];
-            let hi = self.row_ptr[r + 1];
-            for i in lo..hi {
-                let (ci, vi) = (self.col_idx[i], self.values[i]);
-                for k in lo..hi {
-                    g[(ci, self.col_idx[k])] += vi * self.values[k];
-                }
-            }
-        }
-        for (i, &s) in shift.iter().enumerate() {
-            g[(i, i)] += s;
-        }
-        g
     }
 }
 
@@ -246,21 +245,6 @@ mod tests {
         assert_eq!(m.nnz(), 0);
         assert_eq!(m.matvec(&[1.0, 1.0, 1.0]), vec![0.0, 0.0]);
         assert_eq!(m.matvec_t(&[1.0, 1.0]), vec![0.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn gram_with_shift_matches_dense_computation() {
-        let triplets = [(0, 0, 1.0), (0, 1, -1.0), (1, 1, 2.0), (2, 0, 3.0)];
-        let m = CsrMatrix::from_triplets(3, 2, &triplets);
-        let d = m.to_dense();
-        let expected = {
-            let mut g = &d.transpose() * &d;
-            g[(0, 0)] += 0.1;
-            g[(1, 1)] += 0.2;
-            g
-        };
-        let got = m.gram_with_shift(&[0.1, 0.2]);
-        assert!((&got - &expected).frobenius_norm() < 1e-14);
     }
 
     #[test]

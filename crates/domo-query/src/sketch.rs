@@ -21,8 +21,6 @@
 //! rank rule (`r = ⌈q·n⌉`). [`DelaySketch::relative_error_bound`]
 //! exposes the constant so tests and docs cannot drift.
 
-use std::collections::BTreeMap;
-
 /// Buckets per decade. `γ = 10^(1/RESOLUTION)`.
 const RESOLUTION: f64 = 20.0;
 
@@ -32,14 +30,25 @@ const RESOLUTION: f64 = 20.0;
 /// Merging two sketches gives exactly the sketch of the concatenated
 /// sample streams (bucket counts and integer fields add; `sum` adds in
 /// `f64`, so merge order affects `sum` only by float rounding).
+///
+/// Most sketches an [`AggStore`](crate::AggStore) holds see one sample,
+/// so the empty and one-sample cases are stored inline (the value is 16
+/// bytes) and only a sketch with more to say owns a histogram. The
+/// representation is canonical — a histogram is never kept where the
+/// inline forms could say the same — so equality stays semantic.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct DelaySketch {
-    count: u64,
-    zeros: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-    buckets: BTreeMap<i32, u64>,
+pub struct DelaySketch(Repr);
+
+#[derive(Debug, Clone, Default, PartialEq)]
+enum Repr {
+    #[default]
+    Empty,
+    /// One recorded sample: exactly what `record` leaves in an empty
+    /// histogram.
+    One(f64),
+    /// Anything else, as the snapshot type itself: its `buckets` are the
+    /// histogram, ascending by index.
+    Many(Box<SketchParts>),
 }
 
 /// Plain-data snapshot of a [`DelaySketch`], for checkpoint encoding.
@@ -125,17 +134,89 @@ impl SketchParts {
     }
 }
 
-impl DelaySketch {
-    /// An empty sketch.
-    pub fn new() -> Self {
+impl SketchParts {
+    /// The snapshot of an empty sketch.
+    fn empty() -> Self {
         Self {
             count: 0,
             zeros: 0,
             sum: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
-            buckets: BTreeMap::new(),
+            buckets: Vec::new(),
         }
+    }
+
+    /// The snapshot of a sketch holding the one sample `v`: what
+    /// `record(v)` leaves in an empty one, with the bucket list sized
+    /// exactly (a checkpoint builds one of these per bucket of the
+    /// store, all alive at once).
+    fn one(v: f64) -> Self {
+        let positive = v > 0.0;
+        Self {
+            count: 1,
+            zeros: u64::from(!positive),
+            sum: 0.0 + v,
+            min: f64::INFINITY.min(v),
+            max: f64::NEG_INFINITY.max(v),
+            buckets: if positive {
+                vec![(DelaySketch::bucket_index(v), 1)]
+            } else {
+                Vec::new()
+            },
+        }
+    }
+
+    fn record(&mut self, v: f64) {
+        self.count += 1;
+        self.sum += v;
+        self.min = self.min.min(v);
+        self.max = self.max.max(v);
+        if v <= 0.0 {
+            self.zeros += 1;
+        } else {
+            self.add_to_bucket(DelaySketch::bucket_index(v), 1);
+        }
+    }
+
+    fn add_to_bucket(&mut self, idx: i32, n: u64) {
+        match self.buckets.binary_search_by_key(&idx, |&(i, _)| i) {
+            Ok(at) => self.buckets[at].1 += n,
+            Err(at) => self.buckets.insert(at, (idx, n)),
+        }
+    }
+
+    /// Whether the fields are bit for bit those of `other`. The derived
+    /// `PartialEq` would call `0.0` and `-0.0` equal and `NaN` unequal
+    /// to itself; the inline forms may stand in only for exactly what
+    /// they would snapshot to.
+    fn same_bits(&self, other: &Self) -> bool {
+        self.count == other.count
+            && self.zeros == other.zeros
+            && self.sum.to_bits() == other.sum.to_bits()
+            && self.min.to_bits() == other.min.to_bits()
+            && self.max.to_bits() == other.max.to_bits()
+            && self.buckets == other.buckets
+    }
+}
+
+impl Repr {
+    /// The canonical representation of `parts`.
+    fn of(parts: Box<SketchParts>) -> Self {
+        if parts.same_bits(&SketchParts::empty()) {
+            Repr::Empty
+        } else if parts.count == 1 && parts.same_bits(&SketchParts::one(parts.max)) {
+            Repr::One(parts.max)
+        } else {
+            Repr::Many(parts)
+        }
+    }
+}
+
+impl DelaySketch {
+    /// An empty sketch.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Worst-case relative error of a quantile estimate vs the exact
@@ -161,40 +242,57 @@ impl DelaySketch {
         if v.is_nan() {
             return;
         }
-        self.count += 1;
-        self.sum += v;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-        if v <= 0.0 {
-            self.zeros += 1;
-        } else {
-            *self.buckets.entry(Self::bucket_index(v)).or_insert(0) += 1;
+        match &mut self.0 {
+            Repr::Empty => self.0 = Repr::One(v),
+            Repr::One(first) => {
+                let mut parts = Box::new(SketchParts::one(*first));
+                parts.record(v);
+                self.0 = Repr::Many(parts);
+            }
+            Repr::Many(parts) => parts.record(v),
         }
     }
 
     /// Total recorded samples.
     pub fn count(&self) -> u64 {
-        self.count
+        match &self.0 {
+            Repr::Empty => 0,
+            Repr::One(_) => 1,
+            Repr::Many(parts) => parts.count,
+        }
     }
 
     /// Exact sum of recorded samples.
     pub fn sum(&self) -> f64 {
-        self.sum
+        match &self.0 {
+            Repr::Empty => 0.0,
+            Repr::One(v) => 0.0 + v,
+            Repr::Many(parts) => parts.sum,
+        }
     }
 
     /// Exact mean, or `None` when empty.
     pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.sum / self.count as f64)
+        let count = self.count();
+        (count > 0).then(|| self.sum() / count as f64)
     }
 
     /// Exact minimum, or `None` when empty.
     pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
+        match &self.0 {
+            Repr::Empty => None,
+            Repr::One(v) => Some(*v),
+            Repr::Many(parts) => (parts.count > 0).then_some(parts.min),
+        }
     }
 
     /// Exact maximum, or `None` when empty.
     pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
+        match &self.0 {
+            Repr::Empty => None,
+            Repr::One(v) => Some(*v),
+            Repr::Many(parts) => (parts.count > 0).then_some(parts.max),
+        }
     }
 
     /// Estimated `q`-quantile (`q` clamped to `[0, 1]`), or `None`
@@ -206,62 +304,80 @@ impl DelaySketch {
     /// envelope. Ranks landing in the zeros bucket estimate `0`,
     /// clamped likewise.
     pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.count == 0 {
+        let parts = match &self.0 {
+            Repr::Empty => return None,
+            // Every rank is the one sample, and the envelope is the
+            // sample itself.
+            Repr::One(v) if *v > 0.0 => return Some(*v),
+            Repr::One(v) => return Some(0f64.clamp(*v, *v)),
+            Repr::Many(parts) => parts,
+        };
+        if parts.count == 0 {
             return None;
         }
         let q = q.clamp(0.0, 1.0);
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen = self.zeros;
+        let rank = ((q * parts.count as f64).ceil() as u64).clamp(1, parts.count);
+        let mut seen = parts.zeros;
         if rank <= seen {
-            return Some(0f64.clamp(self.min, self.max));
+            return Some(0f64.clamp(parts.min, parts.max));
         }
-        for (&idx, &n) in &self.buckets {
+        for &(idx, n) in &parts.buckets {
             seen += n;
             if rank <= seen {
-                return Some(Self::bucket_estimate(idx).clamp(self.min, self.max));
+                return Some(Self::bucket_estimate(idx).clamp(parts.min, parts.max));
             }
         }
         // Unreachable when the bucket counts are consistent with
         // `count`, but a plain fallback beats a panic in the sink.
-        Some(self.max)
+        Some(parts.max)
     }
 
     /// Folds `other` into `self`. Bucket counts and integer fields
     /// add; `min`/`max` combine; `sum` adds in `f64`.
     pub fn merge(&mut self, other: &DelaySketch) {
-        self.count += other.count;
-        self.zeros += other.zeros;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        for (&idx, &n) in &other.buckets {
-            *self.buckets.entry(idx).or_insert(0) += n;
+        let theirs = match &other.0 {
+            Repr::Empty => return,
+            // A one-sample sketch adds exactly what recording it adds.
+            Repr::One(v) => return self.record(*v),
+            Repr::Many(theirs) => theirs,
+        };
+        let mut ours = match std::mem::take(&mut self.0) {
+            Repr::Empty => Box::new(SketchParts::empty()),
+            Repr::One(v) => Box::new(SketchParts::one(v)),
+            Repr::Many(ours) => ours,
+        };
+        ours.count += theirs.count;
+        ours.zeros += theirs.zeros;
+        ours.sum += theirs.sum;
+        ours.min = ours.min.min(theirs.min);
+        ours.max = ours.max.max(theirs.max);
+        for &(idx, n) in &theirs.buckets {
+            ours.add_to_bucket(idx, n);
         }
+        self.0 = Repr::of(ours);
     }
 
     /// Snapshot for persistence (buckets in ascending index order, so
     /// the encoding is deterministic).
     pub fn to_parts(&self) -> SketchParts {
-        SketchParts {
-            count: self.count,
-            zeros: self.zeros,
-            sum: self.sum,
-            min: self.min,
-            max: self.max,
-            buckets: self.buckets.iter().map(|(&i, &n)| (i, n)).collect(),
+        match &self.0 {
+            Repr::Empty => SketchParts::empty(),
+            Repr::One(v) => SketchParts::one(*v),
+            Repr::Many(parts) => (**parts).clone(),
         }
     }
 
     /// Rebuilds a sketch from a snapshot, bit-identically.
     pub fn from_parts(parts: &SketchParts) -> Self {
-        Self {
-            count: parts.count,
-            zeros: parts.zeros,
-            sum: parts.sum,
-            min: parts.min,
-            max: parts.max,
-            buckets: parts.buckets.iter().copied().collect(),
+        let mut parts = Box::new(parts.clone());
+        if !parts.buckets.windows(2).all(|w| w[0].0 < w[1].0) {
+            // Not a snapshot this type wrote; index it the way a map
+            // would (ascending, the last count of a repeated index).
+            let by_index: std::collections::BTreeMap<i32, u64> =
+                parts.buckets.iter().copied().collect();
+            parts.buckets = by_index.into_iter().collect();
         }
+        Self(Repr::of(parts))
     }
 }
 
@@ -287,6 +403,182 @@ mod tests {
         let n = sorted.len() as f64;
         let rank = ((q * n).ceil() as usize).clamp(1, sorted.len());
         sorted[rank - 1]
+    }
+
+    /// The histogram the sketch replaced: every sketch, however small,
+    /// as one map-backed struct. The compact representation must be
+    /// indistinguishable from it through the public surface.
+    #[derive(Clone)]
+    struct Reference {
+        count: u64,
+        zeros: u64,
+        sum: f64,
+        min: f64,
+        max: f64,
+        buckets: std::collections::BTreeMap<i32, u64>,
+    }
+
+    impl Reference {
+        fn new() -> Self {
+            Self {
+                count: 0,
+                zeros: 0,
+                sum: 0.0,
+                min: f64::INFINITY,
+                max: f64::NEG_INFINITY,
+                buckets: Default::default(),
+            }
+        }
+
+        fn record(&mut self, v: f64) {
+            if v.is_nan() {
+                return;
+            }
+            self.count += 1;
+            self.sum += v;
+            self.min = self.min.min(v);
+            self.max = self.max.max(v);
+            if v <= 0.0 {
+                self.zeros += 1;
+            } else {
+                *self
+                    .buckets
+                    .entry(DelaySketch::bucket_index(v))
+                    .or_insert(0) += 1;
+            }
+        }
+
+        fn merge(&mut self, other: &Reference) {
+            self.count += other.count;
+            self.zeros += other.zeros;
+            self.sum += other.sum;
+            self.min = self.min.min(other.min);
+            self.max = self.max.max(other.max);
+            for (&idx, &n) in &other.buckets {
+                *self.buckets.entry(idx).or_insert(0) += n;
+            }
+        }
+
+        fn to_parts(&self) -> SketchParts {
+            SketchParts {
+                count: self.count,
+                zeros: self.zeros,
+                sum: self.sum,
+                min: self.min,
+                max: self.max,
+                buckets: self.buckets.iter().map(|(&i, &n)| (i, n)).collect(),
+            }
+        }
+    }
+
+    fn assert_same(sketch: &DelaySketch, reference: &Reference, what: &str) {
+        let (got, want) = (sketch.to_parts(), reference.to_parts());
+        assert!(got.same_bits(&want), "{what}: {got:?} vs {want:?}");
+        assert_eq!(got.encode_text(), want.encode_text(), "{what}");
+        // The canonical form of those parts is the form the sketch is in
+        // (compared by bits: an ∞ − ∞ sum is NaN and unequal to itself).
+        let restored = DelaySketch::from_parts(&want);
+        assert!(restored.to_parts().same_bits(&want), "{what}");
+        assert_eq!(
+            std::mem::discriminant(&restored.0),
+            std::mem::discriminant(&sketch.0),
+            "{what}"
+        );
+        match &sketch.0 {
+            Repr::Empty => assert_eq!(want.count, 0, "{what}"),
+            Repr::One(_) => assert_eq!(want.count, 1, "{what}"),
+            Repr::Many(_) => assert!(want.count > 1, "{what}: histogram for {want:?}"),
+        }
+    }
+
+    #[test]
+    fn compact_forms_match_the_map_backed_histogram_bit_for_bit() {
+        assert_eq!(std::mem::size_of::<DelaySketch>(), 16);
+        let edge_values = [
+            0.0,
+            -0.0,
+            -3.5,
+            1.0,
+            0.999_999,
+            1e-300,
+            1e300,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        let mut rng = Rng(2024);
+        for round in 0..400 {
+            // A pool of small sketches (0, 1, 2 … samples each), folded
+            // together in a random order.
+            let mut pool: Vec<(DelaySketch, Reference)> = Vec::new();
+            for _ in 0..1 + (rng.next_f64() * 5.0) as usize {
+                let (mut s, mut r) = (DelaySketch::new(), Reference::new());
+                for _ in 0..(rng.next_f64() * 3.5) as usize {
+                    let v = if rng.next_f64() < 0.3 {
+                        edge_values[(rng.next_f64() * edge_values.len() as f64) as usize]
+                    } else {
+                        rng.next_f64() * 40.0 - 2.0
+                    };
+                    s.record(v);
+                    r.record(v);
+                    assert_same(&s, &r, &format!("round {round} record {v}"));
+                }
+                pool.push((s, r));
+            }
+            let (mut acc_s, mut acc_r) = (DelaySketch::new(), Reference::new());
+            while !pool.is_empty() {
+                let (s, r) = pool.swap_remove((rng.next_f64() * pool.len() as f64) as usize);
+                acc_s.merge(&s);
+                acc_r.merge(&r);
+                assert_same(&acc_s, &acc_r, &format!("round {round} merge"));
+                assert_eq!(acc_s.count(), acc_r.count);
+                assert_eq!(acc_s.sum().to_bits(), acc_r.sum.to_bits());
+                assert_eq!(acc_s.min(), (acc_r.count > 0).then_some(acc_r.min));
+                assert_eq!(acc_s.max(), (acc_r.count > 0).then_some(acc_r.max));
+                let via_parts = DelaySketch(Repr::Many(Box::new(acc_r.to_parts())));
+                for q in [0.0, 0.3, 0.5, 0.99, 1.0] {
+                    assert_eq!(
+                        acc_s.quantile(q).map(f64::to_bits),
+                        via_parts.quantile(q).map(f64::to_bits),
+                        "round {round} q {q}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn foreign_parts_survive_a_round_trip_untouched() {
+        // What the derived `Default` of the map-backed struct used to
+        // produce and older checkpoints therefore hold: extrema that
+        // started at 0.0. No inline form says that, so it stays a
+        // histogram and snapshots back bit for bit.
+        let legacy = SketchParts {
+            count: 1,
+            zeros: 0,
+            sum: 7.5,
+            min: 0.0,
+            max: 7.5,
+            buckets: vec![(17, 1)],
+        };
+        let sketch = DelaySketch::from_parts(&legacy);
+        assert!(matches!(sketch.0, Repr::Many(_)));
+        assert!(sketch.to_parts().same_bits(&legacy));
+        assert_ne!(sketch, {
+            let mut fresh = DelaySketch::new();
+            fresh.record(7.5);
+            fresh
+        });
+        // Buckets out of order or repeated are indexed as a map would.
+        let scrambled = SketchParts {
+            count: 6,
+            buckets: vec![(5, 1), (2, 3), (5, 2)],
+            ..legacy
+        };
+        assert_eq!(
+            DelaySketch::from_parts(&scrambled).to_parts().buckets,
+            vec![(2, 3), (5, 2)]
+        );
     }
 
     #[test]

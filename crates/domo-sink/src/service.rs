@@ -413,7 +413,10 @@ impl StatsCells {
 #[derive(Debug, Default)]
 struct Store {
     node_stats: HashMap<NodeId, RunningStats>,
-    packets: HashMap<PacketId, StoredReconstruction>,
+    /// Retained reconstructions, each as its [`persist::encode_result`]
+    /// bytes: one allocation and a 24-byte map slot per packet, where a
+    /// [`StoredReconstruction`] is two allocations and a 56-byte slot.
+    packets: HashMap<PacketId, Box<[u8]>>,
     insertion_order: VecDeque<PacketId>,
     /// Every pid ever counted as emitted. A watchdog restart replays
     /// the full WAL suffix through a fresh estimator to keep the push
@@ -933,10 +936,10 @@ impl Recovered {
             let mut st = lock_or_recover(store);
             for (_t, bytes) in rstore.scan_all()? {
                 match persist::decode_result(&bytes) {
-                    Ok((pid, rec)) => {
+                    Ok((pid, _)) => {
                         report.result_records += 1;
                         persisted.insert(pid);
-                        if st.packets.insert(pid, rec).is_none() {
+                        if st.packets.insert(pid, bytes.into()).is_none() {
                             st.insertion_order.push_back(pid);
                         }
                         while st.packets.len() > cfg.max_retained_packets.max(1) {
@@ -2199,7 +2202,9 @@ impl SinkService {
     /// The retained reconstruction of one packet, if it has been emitted
     /// and not yet evicted.
     pub fn reconstruction(&self, pid: PacketId) -> Option<StoredReconstruction> {
-        lock_or_recover(&self.core.store).packets.get(&pid).cloned()
+        let st = lock_or_recover(&self.core.store);
+        let (_, rec) = persist::decode_result(st.packets.get(&pid)?).ok()?;
+        Some(rec)
     }
 
     /// Durability status, or `None` when the service runs in-memory.
@@ -2289,9 +2294,13 @@ impl SinkService {
         let mut backfill = Vec::new();
         if replay {
             for pid in &st.insertion_order {
-                if let Some(rec) = st.packets.get(pid) {
-                    if filter.matches(&rec_event(*pid, rec)) {
-                        backfill.push((*pid, rec.clone()));
+                let rec = st
+                    .packets
+                    .get(pid)
+                    .map(|bytes| persist::decode_result(bytes));
+                if let Some(Ok((_, rec))) = rec {
+                    if filter.matches(&rec_event(*pid, &rec)) {
+                        backfill.push((*pid, rec));
                     }
                 }
             }
@@ -2594,7 +2603,8 @@ fn record_batch(
                     st.packets.remove(&old);
                 }
             }
-            if st.packets.insert(r.pid, rec).is_none() {
+            let bytes = persist::encode_result(r.pid, &rec);
+            if st.packets.insert(r.pid, bytes.into()).is_none() {
                 st.insertion_order.push_back(r.pid);
             }
         }

@@ -13,13 +13,20 @@
 //! where `M` stacks the box-constraint matrix `A` with one selector row
 //! per svec coordinate of each PSD block, and `Π_C` clamps the box rows
 //! to `[l, u]` and projects each block segment onto the PSD cone (via the
-//! Jacobi eigensolver in `domo-linalg`). The KKT matrix is factored once
-//! per problem (re-factored only when adaptive ρ steps far), which is
-//! what makes the per-window solves in Domo fast.
+//! Jacobi eigensolver in `domo-linalg`).
+//!
+//! The KKT matrix `K = P + σI + ρ MᵀM` is a few percent dense (each
+//! constraint row couples a handful of unknowns), so it is assembled
+//! sparsely from `M`'s rows and factored with the sparse LDLᵀ of
+//! `domo-linalg`. Its ordering and symbolic factor are computed once per
+//! solve; an adaptive ρ step only repeats the numeric factorization. The
+//! polish solves its quasi-definite system with the same kernel. The
+//! iteration itself allocates nothing: every vector it needs lives in a
+//! workspace sized at the start of the solve.
 
 use crate::problem::ConeQp;
-use crate::svec::{project_psd_svec, svec_index, SQRT2};
-use domo_linalg::{norm_inf, Cholesky, CsrMatrix, Matrix};
+use crate::svec::{project_psd_svec_in_place, svec_index, svec_len, SQRT2};
+use domo_linalg::{norm_inf, CsrMatrix, LdlSymbolic, Matrix, Pivots, SymSparse};
 use domo_obs::{LazyCounter, LazyHistogram};
 use std::time::{Duration, Instant};
 
@@ -99,9 +106,10 @@ pub enum SolverError {
         /// Length of the supplied warm start.
         got: usize,
     },
-    /// The regularized KKT matrix could not be Cholesky-factored. This
-    /// indicates non-finite problem data (a NaN/∞ coefficient) — for
-    /// finite data the σ-shift keeps the matrix positive definite.
+    /// The regularized KKT matrix has a non-positive or non-finite
+    /// pivot. This indicates non-finite problem data (a NaN/∞
+    /// coefficient) — for finite data the σ-shift keeps the matrix
+    /// positive definite.
     FactorizationFailed,
 }
 
@@ -304,19 +312,16 @@ fn try_solve_warm_inner(
 
     let mut rho = settings.rho;
 
-    // ---- Factor K = P_sym + σI + ρ MᵀM (dense Cholesky). ----
-    let p_dense = {
-        let mut p = problem.p.to_dense();
-        p.symmetrize();
-        p
+    // ---- Factor K = P_sym + σI + ρ MᵀM (sparse LDLᵀ). ----
+    let kkt_terms = KktTerms::new(problem, &m, settings.sigma);
+    let mut k = kkt_terms.at(rho);
+    let symbolic = LdlSymbolic::analyze(&k);
+    let factor_kkt = |k: &SymSparse| {
+        symbolic
+            .factor(k, Pivots::Positive)
+            .map_err(|_| SolverError::FactorizationFailed)
     };
-    let factor_kkt = |rho: f64| -> Result<Cholesky, SolverError> {
-        let mut k = m.gram_with_shift(&vec![0.0; n]).scale(rho);
-        k = &k + &p_dense;
-        k.shift_diagonal(settings.sigma);
-        Cholesky::factor(&k).map_err(|_| SolverError::FactorizationFailed)
-    };
-    let mut kkt = factor_kkt(rho)?;
+    let mut kkt = factor_kkt(&k)?;
 
     // ---- Projection onto C = [l,u] × PSD × … ----
     let project = |v: &mut [f64]| {
@@ -325,10 +330,7 @@ fn try_solve_warm_inner(
             *vi = vi.clamp(lo, hi);
         }
         for &(seg_start, dim) in &block_segments {
-            let len = crate::svec::svec_len(dim);
-            let seg = &v[seg_start..seg_start + len];
-            let projected = project_psd_svec(seg);
-            v[seg_start..seg_start + len].copy_from_slice(&projected);
+            project_psd_svec_in_place(&mut v[seg_start..seg_start + svec_len(dim)]);
         }
     };
 
@@ -351,6 +353,7 @@ fn try_solve_warm_inner(
         z0
     };
     let mut y = vec![0.0; m_total];
+    let mut ws = Workspace::new(n, m_total);
 
     let mut status = Status::MaxIterations;
     let mut iterations = 0;
@@ -361,53 +364,61 @@ fn try_solve_warm_inner(
     for iter in 1..=settings.max_iterations {
         iterations = iter;
 
-        // x-update.
-        let mut rhs = vec![0.0; n];
-        for i in 0..n {
-            rhs[i] = settings.sigma * x[i] - problem.q[i];
+        // x-update: the right-hand side σx − q + Mᵀ(ρz − y) is built in
+        // `x` and solved in place.
+        for (xi, &qi) in x.iter_mut().zip(&problem.q) {
+            *xi = settings.sigma * *xi - qi;
         }
-        let mut w = vec![0.0; m_total];
-        for i in 0..m_total {
-            w[i] = rho * z[i] - y[i];
+        for ((wi, &zi), &yi) in ws.rows.iter_mut().zip(&z).zip(&y) {
+            *wi = rho * zi - yi;
         }
-        let mtw = m.matvec_t(&w);
-        for i in 0..n {
-            rhs[i] += mtw[i];
+        m.matvec_t_into(&ws.rows, &mut ws.mt);
+        for (xi, &ti) in x.iter_mut().zip(&ws.mt) {
+            *xi += ti;
         }
-        x = kkt.solve(&rhs);
+        #[cfg(debug_assertions)]
+        let rhs = x.clone();
+        kkt.solve_in_place(&mut x, &mut ws.solve);
+        #[cfg(debug_assertions)]
+        debug_assert!(
+            kkt_residual(&k, &x, &rhs) <= 1e-8 * (1.0 + norm_inf(&rhs)),
+            "x-update left a KKT residual of {}",
+            kkt_residual(&k, &x, &rhs)
+        );
 
-        // Relaxed z/y updates.
-        let mx = m.matvec(&x);
-        let z_prev = z.clone();
-        let mut v = vec![0.0; m_total];
-        for i in 0..m_total {
-            v[i] = settings.alpha * mx[i] + (1.0 - settings.alpha) * z_prev[i];
+        // Relaxed z/y updates; `ws.rows` now holds v.
+        m.matvec_into(&x, &mut ws.mx);
+        for ((vi, &mxi), &zi) in ws.rows.iter_mut().zip(&ws.mx).zip(&z) {
+            *vi = settings.alpha * mxi + (1.0 - settings.alpha) * zi;
         }
-        for i in 0..m_total {
-            z[i] = v[i] + y[i] / rho;
+        for ((zi, &vi), &yi) in z.iter_mut().zip(&ws.rows).zip(&y) {
+            *zi = vi + yi / rho;
         }
         project(&mut z);
-        for i in 0..m_total {
-            y[i] += rho * (v[i] - z[i]);
+        for ((yi, &vi), &zi) in y.iter_mut().zip(&ws.rows).zip(&z) {
+            *yi += rho * (vi - zi);
         }
 
         if iter % settings.check_interval == 0 || iter == settings.max_iterations {
             // Primal residual: ‖Mx − z‖∞.
             let mut r_prim = 0.0f64;
-            for i in 0..m_total {
-                r_prim = r_prim.max((mx[i] - z[i]).abs());
+            for (&mxi, &zi) in ws.mx.iter().zip(&z) {
+                r_prim = r_prim.max((mxi - zi).abs());
             }
             // Dual residual: ‖Px + q + Mᵀy‖∞.
-            let px = problem.p.matvec(&x);
-            let mty = m.matvec_t(&y);
+            problem.p.matvec_into(&x, &mut ws.px);
+            m.matvec_t_into(&y, &mut ws.mt);
             let mut r_dual = 0.0f64;
-            for i in 0..n {
-                r_dual = r_dual.max((px[i] + problem.q[i] + mty[i]).abs());
+            for ((&pxi, &qi), &ti) in ws.px.iter().zip(&problem.q).zip(&ws.mt) {
+                r_dual = r_dual.max((pxi + qi + ti).abs());
             }
 
-            let eps_prim = settings.eps_abs + settings.eps_rel * norm_inf(&mx).max(norm_inf(&z));
+            let eps_prim = settings.eps_abs + settings.eps_rel * norm_inf(&ws.mx).max(norm_inf(&z));
             let eps_dual = settings.eps_abs
-                + settings.eps_rel * norm_inf(&px).max(norm_inf(&mty)).max(norm_inf(&problem.q));
+                + settings.eps_rel
+                    * norm_inf(&ws.px)
+                        .max(norm_inf(&ws.mt))
+                        .max(norm_inf(&problem.q));
 
             primal_residual = r_prim;
             dual_residual = r_dual;
@@ -420,11 +431,14 @@ fn try_solve_warm_inner(
             // a dual direction δy with Mᵀδy ≈ 0 whose support function
             // over the boxes is strictly negative proves emptiness.
             if problem.psd_blocks.is_empty() {
-                let dy: Vec<f64> = y.iter().zip(&y_at_last_check).map(|(a, b)| a - b).collect();
-                let dy_norm = norm_inf(&dy);
+                let dy = &mut ws.rows;
+                for ((di, &a), &b) in dy.iter_mut().zip(&y).zip(&y_at_last_check) {
+                    *di = a - b;
+                }
+                let dy_norm = norm_inf(dy);
                 if dy_norm > settings.eps_abs {
-                    let mt_dy = m.matvec_t(&dy);
-                    if norm_inf(&mt_dy) <= 1e-6 * dy_norm {
+                    m.matvec_t_into(dy, &mut ws.mt);
+                    if norm_inf(&ws.mt) <= 1e-6 * dy_norm {
                         let mut support = 0.0;
                         let mut certifiable = true;
                         for ((&d, &lo), &hi) in dy.iter().zip(&problem.l).zip(&problem.u) {
@@ -445,7 +459,7 @@ fn try_solve_warm_inner(
                             }
                         }
                         if certifiable && support < -settings.eps_abs * dy_norm {
-                            y = dy;
+                            y.copy_from_slice(dy);
                             status = Status::PrimalInfeasible;
                             break;
                         }
@@ -465,7 +479,8 @@ fn try_solve_warm_inner(
                             *yi *= new_rho / rho;
                         }
                         rho = new_rho;
-                        kkt = factor_kkt(rho)?;
+                        k = kkt_terms.at(rho);
+                        kkt = factor_kkt(&k)?;
                     }
                 }
             }
@@ -507,6 +522,88 @@ fn try_solve_warm_inner(
     })
 }
 
+/// Scratch vectors of one solve, so the iteration allocates nothing.
+struct Workspace {
+    /// Row-space scratch: `ρz − y`, then `v`, then `δy` at a check.
+    rows: Vec<f64>,
+    /// `Mx`.
+    mx: Vec<f64>,
+    /// `Mᵀ·` of whatever row vector was last needed.
+    mt: Vec<f64>,
+    /// `Px`.
+    px: Vec<f64>,
+    /// Scratch of the permuted triangular solves.
+    solve: Vec<f64>,
+}
+
+impl Workspace {
+    fn new(n: usize, m_total: usize) -> Self {
+        Self {
+            rows: vec![0.0; m_total],
+            mx: vec![0.0; m_total],
+            mt: vec![0.0; n],
+            px: vec![0.0; n],
+            solve: vec![0.0; n],
+        }
+    }
+}
+
+/// Upper-triangle triplets of the symmetric part `(P + Pᵀ)/2`.
+fn symmetric_part_triplets(p: &CsrMatrix) -> Vec<(usize, usize, f64)> {
+    let mut triplets = Vec::with_capacity(p.nnz());
+    for r in 0..p.rows() {
+        for (c, v) in p.row_entries(r) {
+            triplets.push((r, c, if r == c { v } else { 0.5 * v }));
+        }
+    }
+    triplets
+}
+
+/// `K(ρ) = P_sym + σI + ρ·MᵀM` as two triplet lists over one sparsity
+/// pattern: the pattern does not depend on ρ, so one symbolic
+/// factorization serves every ρ of a solve.
+struct KktTerms {
+    n: usize,
+    /// `P_sym + σI`.
+    fixed: Vec<(usize, usize, f64)>,
+    /// `MᵀM`, one triplet per pair of entries sharing a row of `M`.
+    gram: Vec<(usize, usize, f64)>,
+}
+
+impl KktTerms {
+    fn new(problem: &ConeQp, m: &CsrMatrix, sigma: f64) -> Self {
+        let n = problem.num_vars();
+        let mut fixed = symmetric_part_triplets(&problem.p);
+        fixed.extend((0..n).map(|i| (i, i, sigma)));
+        let mut gram = Vec::new();
+        let mut row: Vec<(usize, f64)> = Vec::new();
+        for r in 0..m.rows() {
+            row.clear();
+            row.extend(m.row_entries(r));
+            for (i, &(ci, vi)) in row.iter().enumerate() {
+                gram.extend(row[i..].iter().map(|&(ck, vk)| (ci, ck, vi * vk)));
+            }
+        }
+        Self { n, fixed, gram }
+    }
+
+    fn at(&self, rho: f64) -> SymSparse {
+        let mut triplets = Vec::with_capacity(self.fixed.len() + self.gram.len());
+        triplets.extend(self.gram.iter().map(|&(i, j, v)| (i, j, rho * v)));
+        triplets.extend_from_slice(&self.fixed);
+        SymSparse::from_triplets(self.n, &triplets)
+    }
+}
+
+/// `‖Kx − rhs‖∞`, the x-update's postcondition.
+#[cfg(debug_assertions)]
+fn kkt_residual(k: &SymSparse, x: &[f64], rhs: &[f64]) -> f64 {
+    k.matvec(x)
+        .iter()
+        .zip(rhs)
+        .fold(0.0f64, |worst, (kx, r)| worst.max((kx - r).abs()))
+}
+
 /// Solves the equality-constrained KKT system over the rows the ADMM
 /// iterate marks active (duals pushing against a bound, or equality
 /// rows). Returns `None` when the system is singular or trivially empty.
@@ -531,37 +628,34 @@ fn polish_active_set(problem: &ConeQp, x: &[f64], y: &[f64], z: &[f64]) -> Optio
     let k = active.len();
 
     // KKT: [[P + δI, Aᵀ_act], [A_act, −δI]] · [x; ν] = [−q; b_act].
+    // Quasi-definite, so the sparse LDLᵀ needs no pivoting whatever
+    // order it eliminates in.
     const DELTA: f64 = 1e-9;
-    let mut kkt = Matrix::zeros(n + k, n + k);
-    let p_dense = {
-        let mut p = problem.p.to_dense();
-        p.symmetrize();
-        p
-    };
-    for i in 0..n {
-        for j in 0..n {
-            kkt[(i, j)] = p_dense[(i, j)];
-        }
-        kkt[(i, i)] += DELTA;
-    }
+    let mut triplets = symmetric_part_triplets(&problem.p);
+    triplets.extend((0..n).map(|i| (i, i, DELTA)));
     for (row_idx, &(ri, _)) in active.iter().enumerate() {
-        for (col, v) in problem.a.row_entries(ri) {
-            kkt[(n + row_idx, col)] = v;
-            kkt[(col, n + row_idx)] = v;
-        }
-        kkt[(n + row_idx, n + row_idx)] = -DELTA;
+        triplets.extend(
+            problem
+                .a
+                .row_entries(ri)
+                .map(|(col, v)| (col, n + row_idx, v)),
+        );
+        triplets.push((n + row_idx, n + row_idx, -DELTA));
     }
-    let mut rhs = vec![0.0; n + k];
-    for (r, &qi) in rhs.iter_mut().zip(&problem.q) {
+    let kkt = SymSparse::from_triplets(n + k, &triplets);
+    let mut sol = vec![0.0; n + k];
+    for (r, &qi) in sol.iter_mut().zip(&problem.q) {
         *r = -qi;
     }
-    for (row_idx, &(_, b)) in active.iter().enumerate() {
-        rhs[n + row_idx] = b;
+    for (r, &(_, b)) in sol[n..].iter_mut().zip(&active) {
+        *r = b;
     }
 
-    let factor = domo_linalg::Ldlt::factor(&kkt).ok()?;
-    let sol = factor.solve(&rhs);
-    let xp = sol[..n].to_vec();
+    let symbolic = LdlSymbolic::analyze(&kkt);
+    let factor = symbolic.factor(&kkt, Pivots::NonZero).ok()?;
+    factor.solve_in_place(&mut sol, &mut vec![0.0; n + k]);
+    sol.truncate(n);
+    let xp = sol;
     // Guard against a wrong active set producing a wild point.
     let drift: f64 = xp
         .iter()
@@ -946,6 +1040,68 @@ mod tests {
         b.add_row(&[(0, 1.0)], 0.0, 1.0);
         let e = try_solve(&b.build().unwrap(), &settings());
         assert_eq!(e, Err(SolverError::FactorizationFailed));
+    }
+
+    #[test]
+    fn try_solve_reports_failed_factorization_on_a_non_positive_pivot() {
+        // A concave objective: K = −5 + σ < 0 is finite but not
+        // positive definite, which the x-update cannot use.
+        let mut b = QpBuilder::new(2);
+        b.add_quadratic(0, 0, 2.0);
+        b.add_quadratic(1, 1, -5.0);
+        b.add_row(&[(0, 1.0)], 0.0, 1.0);
+        let e = try_solve(&b.build().unwrap(), &settings());
+        assert_eq!(e, Err(SolverError::FactorizationFailed));
+    }
+
+    #[test]
+    fn sparse_kkt_assembly_matches_its_formula() {
+        // K(ρ)·eⱼ against P_sym·eⱼ + σ·eⱼ + ρ·Mᵀ(M·eⱼ), on random
+        // problems with an asymmetric P, repeated entries and a dense row.
+        let mut rng = domo_util::rng::Xoshiro256pp::seed_from_u64(0xadd5);
+        for _ in 0..25 {
+            let n = 1 + rng.range_usize(0..12);
+            let rows = rng.range_usize(0..20);
+            let mut p_triplets = Vec::new();
+            for _ in 0..rng.range_usize(0..3 * n) {
+                p_triplets.push((
+                    rng.range_usize(0..n),
+                    rng.range_usize(0..n),
+                    rng.range_f64(-1.0..1.0),
+                ));
+            }
+            let mut m_triplets: Vec<_> = (0..n).map(|c| (0, c, rng.range_f64(0.5..1.5))).collect();
+            for r in 0..rows {
+                for _ in 0..1 + rng.range_usize(0..4) {
+                    m_triplets.push((r, rng.range_usize(0..n), rng.range_f64(-2.0..2.0)));
+                }
+            }
+            let p = CsrMatrix::from_triplets(n, n, &p_triplets);
+            let m = CsrMatrix::from_triplets(rows.max(1), n, &m_triplets);
+            let problem = ConeQp::new(
+                p.clone(),
+                vec![0.0; n],
+                CsrMatrix::zeros(0, n),
+                vec![],
+                vec![],
+            )
+            .unwrap();
+            let (sigma, rho) = (1e-3, rng.range_f64(0.1..10.0));
+            let k = KktTerms::new(&problem, &m, sigma).at(rho);
+            for j in 0..n {
+                let mut e = vec![0.0; n];
+                e[j] = 1.0;
+                let (pe, pte) = (p.matvec(&e), p.matvec_t(&e));
+                let gram = m.matvec_t(&m.matvec(&e));
+                for (i, got) in k.matvec(&e).into_iter().enumerate() {
+                    let want = 0.5 * (pe[i] + pte[i]) + sigma * e[i] + rho * gram[i];
+                    assert!(
+                        (got - want).abs() <= 1e-12 * (1.0 + want.abs()),
+                        "K[{i},{j}]"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -49,15 +49,18 @@ pub const fn svec_index(i: usize, j: usize) -> usize {
 /// Panics if `m` is not square.
 pub fn svec(m: &Matrix) -> Vec<f64> {
     assert!(m.is_square(), "svec requires a square matrix");
-    let s = m.rows();
-    let mut out = vec![0.0; svec_len(s)];
-    for j in 0..s {
+    let mut out = vec![0.0; svec_len(m.rows())];
+    svec_into(m, &mut out);
+    out
+}
+
+fn svec_into(m: &Matrix, out: &mut [f64]) {
+    for j in 0..m.rows() {
         for i in 0..=j {
             let v = m[(i, j)];
             out[svec_index(i, j)] = if i == j { v } else { SQRT2 * v };
         }
     }
-    out
 }
 
 /// Unpacks a scaled svec vector into the symmetric matrix it encodes.
@@ -91,14 +94,25 @@ pub fn dim_from_len(len: usize) -> usize {
     s
 }
 
-/// Projects a scaled svec vector onto the PSD cone (in place semantics:
-/// returns the projected vector).
+/// Projects a scaled svec vector onto the PSD cone and returns the
+/// projected vector.
 ///
 /// # Panics
 ///
 /// Panics if `v.len()` is not a valid svec length.
 pub fn project_psd_svec(v: &[f64]) -> Vec<f64> {
-    svec(&project_psd(&smat(v)))
+    let mut out = v.to_vec();
+    project_psd_svec_in_place(&mut out);
+    out
+}
+
+/// [`project_psd_svec`], overwriting `v` with its projection.
+///
+/// # Panics
+///
+/// Panics if `v.len()` is not a valid svec length.
+pub fn project_psd_svec_in_place(v: &mut [f64]) {
+    svec_into(&project_psd(&smat(v)), v);
 }
 
 #[cfg(test)]

@@ -10,7 +10,9 @@
 #                        denies unwrap()/expect() — panics in the
 #                        reconstruction pipeline must be typed errors or
 #                        documented invariant panics (tests may unwrap)
-#   3. tier-1 tests      release build + the facade crate's test binaries
+#   3. tests             release build, the facade crate's test binaries
+#                        (tier-1), then every member crate's unit and
+#                        doc tests
 #   4. e2e smoke         domo-sink serve/replay/query over loopback TCP
 #                        (exits nonzero unless every delivered packet is
 #                        reconstructed and garbage frames are counted),
@@ -100,6 +102,10 @@ cargo build --release --workspace
 
 echo "==> cargo test -q (tier-1)"
 cargo test -q
+# The root package's tests are the facade binaries only; the unit tests
+# inside the member crates (the differential tests of the linear
+# algebra, the solver, the sketches, …) run here.
+cargo test --workspace -q
 
 echo "==> domo-sink smoke (end-to-end over loopback TCP)"
 ./target/release/domo-sink smoke --nodes 9 --seed 7

@@ -168,3 +168,48 @@ fn reconstructed_delays_telescope_exactly() {
         );
     }
 }
+
+/// Reconstruction accuracy pinned by number. The references are what
+/// the dense-Cholesky KKT path produced at the commit before the sparse
+/// LDLᵀ replaced it (PR 11, `2db3f89`); the linear algebra changed, the
+/// algorithm and its tolerances did not, so the error, the iteration
+/// count and the convergence of every window must not have moved.
+#[test]
+fn estimate_accuracy_is_pinned_to_the_dense_kkt_reference() {
+    let paper = {
+        let mut trace = run_simulation(&NetworkConfig::paper_scale(100, 7));
+        trace.packets.truncate(600);
+        trace
+    };
+    let small = run_simulation(&NetworkConfig::small(25, 7));
+    // (trace, mean |error| in ms, windows, total ADMM iterations)
+    for (name, trace, ref_err, ref_windows, ref_iterations) in [
+        ("small(25, 7)", &small, 3.516534332530, 11usize, 2950usize),
+        (
+            "paper_scale(100, 7)[..600]",
+            &paper,
+            4.067775973666,
+            24,
+            900,
+        ),
+    ] {
+        let cfg = EstimatorConfig::default();
+        let domo = Domo::from_trace(trace);
+        let est = domo.estimate(&cfg);
+        let err = mean(&estimate_errors(trace, &domo, &est));
+        assert!(
+            (err - ref_err).abs() <= 0.005 * ref_err,
+            "{name}: mean |error| {err:.9} ms, reference {ref_err:.9} ms"
+        );
+        assert_eq!(est.stats.unsolved_windows, 0, "{name}");
+        assert_eq!(est.stats.windows, ref_windows, "{name}");
+        // Convergence is only tested every `check_interval` iterations,
+        // so a last-digit difference can move a window by one interval.
+        let slack = cfg.solver.check_interval * ref_windows;
+        assert!(
+            est.stats.total_iterations.abs_diff(ref_iterations) <= slack,
+            "{name}: {} iterations, reference {ref_iterations} ± {slack}",
+            est.stats.total_iterations
+        );
+    }
+}
