@@ -1178,17 +1178,6 @@ fn bench_all(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Kills the wrapped `serve` child on scope exit so no error path can
-/// leak a background sink process.
-struct ChildGuard(std::process::Child);
-
-impl Drop for ChildGuard {
-    fn drop(&mut self) {
-        let _ = self.0.kill();
-        let _ = self.0.wait();
-    }
-}
-
 /// Locates the `domo-sink` binary: `--sink-bin`, then `$DOMO_SINK_BIN`,
 /// then a sibling of the running `domo-exp` executable (both land in
 /// the same cargo target directory).
@@ -1211,23 +1200,15 @@ fn sink_binary(args: &Args) -> Result<std::path::PathBuf, String> {
     ))
 }
 
-/// Spawns `domo-sink serve` on OS-assigned loopback ports and waits for
-/// the addr file. Child stdio goes to null: the soak's verdict comes
-/// from the query protocol, not from scraping the child's logs.
+/// Spawns a durable single-shard `domo-sink serve` child for a soak:
+/// degrade-on-error with a 64-record probe cadence, plus `extra`.
 fn spawn_soak_serve(
     bin: &std::path::Path,
     data_dir: &str,
     addr_file: &std::path::Path,
-    chaos_flags: &[&str],
-) -> Result<(ChildGuard, String, String), String> {
-    let _ = std::fs::remove_file(addr_file);
-    let mut cmd = std::process::Command::new(bin);
-    cmd.args([
-        "serve",
-        "--ingest-port",
-        "0",
-        "--query-port",
-        "0",
+    extra: &[&str],
+) -> Result<domo_sink::client::ServeChild, String> {
+    let mut args = vec![
         "--shards",
         "1",
         "--data-dir",
@@ -1240,43 +1221,21 @@ fn spawn_soak_serve(
         "degrade",
         "--idle-timeout",
         "120",
-        "--addr-file",
-        &addr_file.display().to_string(),
-    ])
-    .args(chaos_flags)
-    .stdout(std::process::Stdio::null())
-    .stderr(std::process::Stdio::null());
-    let child = ChildGuard(cmd.spawn().map_err(|e| format!("spawn serve: {e}"))?);
-    let deadline = Instant::now() + std::time::Duration::from_secs(30);
-    loop {
-        if let Ok(text) = std::fs::read_to_string(addr_file) {
-            let mut lines = text.lines();
-            if let (Some(ingest), Some(query)) = (lines.next(), lines.next()) {
-                return Ok((child, ingest.to_string(), query.to_string()));
-            }
-        }
-        if Instant::now() > deadline {
-            return Err("serve child never published its addresses".into());
-        }
-        std::thread::sleep(std::time::Duration::from_millis(20));
-    }
-}
-
-/// Reads `name value` out of a raw query reply, 0 when absent.
-fn reply_stat(lines: &[String], name: &str) -> u64 {
-    lines
-        .iter()
-        .filter_map(|l| l.strip_prefix(name)?.trim().parse().ok())
-        .next()
-        .unwrap_or(0)
+    ];
+    args.extend_from_slice(extra);
+    domo_sink::client::ServeChild::spawn(bin, addr_file, &args)
+        .map_err(|e| format!("spawn serve: {e}"))
 }
 
 /// The survival soak (see the module docs): a durable sink child under
 /// an injected fault storm plus a shard-worker panic must keep exact
 /// accounting, heal, and recover bit-identically after a SIGKILL.
 fn chaos(args: &Args) -> Result<(), String> {
-    use domo_sink::client::{query_request, replay_packets, ReplayOptions};
-    use domo_sink::service::{SinkConfig, SinkService};
+    use domo_sink::client::{
+        await_range, parse_stats, query_request, reference_lines, replay_packets, stat,
+        QueryClient, ReplayOptions,
+    };
+    use domo_sink::service::SinkConfig;
 
     let bin = sink_binary(args)?;
     let trace = run_simulation(&NetworkConfig::small(args.nodes, args.seed));
@@ -1301,33 +1260,13 @@ fn chaos(args: &Args) -> Result<(), String> {
 
     // The undisturbed truth: the same trace through an in-process,
     // volatile, single-shard service.
-    let reference = SinkService::start(SinkConfig {
-        shards: 1,
-        ..SinkConfig::default()
-    });
-    for p in &trace.packets {
-        reference.ingest(p.clone());
-    }
-    reference.drain();
-    let mut expected: Vec<String> = trace
-        .packets
-        .iter()
-        .map(|p| {
-            let r = reference
-                .reconstruction(p.pid)
-                .ok_or_else(|| format!("reference lost {}", p.pid))?;
-            let path: Vec<String> = r.path.iter().map(|n| n.index().to_string()).collect();
-            let times: Vec<String> = r.hop_times_ms.iter().map(|t| format!("{t:.3}")).collect();
-            Ok(format!(
-                "packet {} path {} times {}",
-                p.pid,
-                path.join("-"),
-                times.join(" ")
-            ))
-        })
-        .collect::<Result<_, String>>()?;
-    reference.shutdown();
-    expected.sort();
+    let expected = reference_lines(
+        SinkConfig {
+            shards: 1,
+            ..SinkConfig::default()
+        },
+        &trace.packets,
+    )?;
 
     let scratch = std::env::temp_dir().join(format!("domo-chaos-{}", std::process::id()));
     let data_dir = scratch.display().to_string();
@@ -1335,12 +1274,13 @@ fn chaos(args: &Args) -> Result<(), String> {
     let addr_file = std::env::temp_dir().join(format!("domo-chaos-addr-{}", std::process::id()));
 
     // Phase 1: the storm. Faults + panic armed; stream the full trace.
-    let (mut child, ingest, query) = spawn_soak_serve(
+    let mut child = spawn_soak_serve(
         &bin,
         &data_dir,
         &addr_file,
         &["--store-faults", storm, "--chaos-panic", "0:10"],
     )?;
+    let (ingest, query) = (child.ingest.clone(), child.query.clone());
     replay_packets(
         &ingest as &str,
         &trace.packets,
@@ -1350,48 +1290,28 @@ fn chaos(args: &Args) -> Result<(), String> {
 
     // Wait for the socket to be fully consumed before draining —
     // every frame lands in exactly one of ingested/quarantined.
-    let deadline = Instant::now() + std::time::Duration::from_secs(120);
-    loop {
-        let stats = query_request(&query as &str, "STATS").map_err(|e| format!("stats: {e}"))?;
-        if reply_stat(&stats, "ingested ") + reply_stat(&stats, "quarantined ") >= total as u64 {
-            break;
-        }
-        if Instant::now() > deadline {
-            return Err("storm ingest stalled".into());
-        }
-        std::thread::sleep(std::time::Duration::from_millis(20));
-    }
+    QueryClient::connect(&query as &str)
+        .and_then(|mut q| {
+            q.wait_stats(std::time::Duration::from_secs(120), |s| {
+                stat(s, "ingested") + stat(s, "quarantined") >= total as u64
+            })
+        })
+        .map_err(|e| format!("storm ingest: {e}"))?;
     // Drain and heal until every packet answers a durable RANGE scan.
     // Emission is asynchronous behind the drain barrier, and while the
     // sink is degraded the emitted records sit in the in-memory backlog
     // rather than the result log — so each round also attempts the
     // healing checkpoint. Every failed attempt burns at least one
     // faulted I/O op, so the storm window is guaranteed to pass.
-    let deadline = Instant::now() + std::time::Duration::from_secs(120);
-    let mut got;
-    loop {
-        query_request(&query as &str, "DRAIN").map_err(|e| format!("drain: {e}"))?;
-        query_request(&query as &str, "CHECKPOINT").map_err(|e| format!("checkpoint: {e}"))?;
-        let mut lines =
-            query_request(&query as &str, "RANGE -inf inf").map_err(|e| format!("range: {e}"))?;
-        let count_line = lines.pop().unwrap_or_default();
-        if count_line == format!("count {total}") {
-            got = lines;
-            break;
-        }
-        if lines.len() > total {
-            return Err(format!(
-                "double-emit under storm: {} records for {total} packets",
-                lines.len()
-            ));
-        }
-        if Instant::now() > deadline {
-            return Err(format!(
-                "storm drain stalled: {count_line} (want count {total})"
-            ));
-        }
-        std::thread::sleep(std::time::Duration::from_millis(10));
-    }
+    // Once it does, the post-heal state must already be bit-identical
+    // to the undisturbed run, while still serving.
+    await_range(
+        &query,
+        &["DRAIN", "CHECKPOINT"],
+        &expected,
+        std::time::Duration::from_secs(120),
+    )
+    .map_err(|e| format!("post-heal state: {e}"))?;
 
     // The storm is spent and the backlog is flushed: a checkpoint must
     // now succeed outright.
@@ -1402,16 +1322,16 @@ fn chaos(args: &Args) -> Result<(), String> {
     }
 
     // Gate 1: the child survived the whole storm on its own.
-    if let Some(status) = child.0.try_wait().map_err(|e| format!("try_wait: {e}"))? {
+    if let Some(status) = child.exit_status().map_err(|e| format!("try_wait: {e}"))? {
         return Err(format!("sink exited during the storm: {status}"));
     }
 
     // Gate 2: exact accounting and a healed, storm-marked state.
-    let stats = query_request(&query as &str, "STATS").map_err(|e| format!("stats: {e}"))?;
-    let ingested = reply_stat(&stats, "ingested ");
-    let emitted = reply_stat(&stats, "emitted ");
-    let dropped =
-        reply_stat(&stats, "backpressure_dropped ") + reply_stat(&stats, "watchdog_dropped ");
+    let stat_lines = query_request(&query as &str, "STATS").map_err(|e| format!("stats: {e}"))?;
+    let stats = parse_stats(&stat_lines);
+    let ingested = stat(&stats, "ingested");
+    let emitted = stat(&stats, "emitted");
+    let dropped = stat(&stats, "backpressure_dropped") + stat(&stats, "watchdog_dropped");
     if emitted + dropped != ingested {
         return Err(format!(
             "accounting broken: emitted {emitted} + dropped {dropped} != ingested {ingested}"
@@ -1422,105 +1342,57 @@ fn chaos(args: &Args) -> Result<(), String> {
             "lossless soak violated: ingested {ingested}/{total}, dropped {dropped}"
         ));
     }
-    if !stats.iter().any(|l| l == "health healthy") {
-        return Err(format!("sink did not heal: {stats:?}"));
+    if !stat_lines.iter().any(|l| l == "health healthy") {
+        return Err(format!("sink did not heal: {stat_lines:?}"));
     }
     for (counter, why) in [
         (
-            "degraded_entries ",
+            "degraded_entries",
             "the fault storm never degraded the sink",
         ),
-        ("heals ", "the sink never re-armed durability"),
+        ("heals", "the sink never re-armed durability"),
         (
-            "watchdog_restarts ",
+            "watchdog_restarts",
             "the worker panic never tripped the watchdog",
         ),
     ] {
-        if reply_stat(&stats, counter) == 0 {
+        if stat(&stats, counter) == 0 {
             return Err(format!("soak did not exercise its target: {why}"));
         }
     }
-    let store = query_request(&query as &str, "STORE STATS").map_err(|e| format!("store: {e}"))?;
-    if reply_stat(&store, "result_records ") != total as u64 {
+    let store = parse_stats(
+        &query_request(&query as &str, "STORE STATS").map_err(|e| format!("store: {e}"))?,
+    );
+    if stat(&store, "result_records") != total as u64 {
         return Err(format!(
             "result log diverged: {} records for {total} packets (re-emissions must dedup)",
-            reply_stat(&store, "result_records ")
+            stat(&store, "result_records")
         ));
     }
-    if reply_stat(&store, "checkpoints_on_disk ") > 2 {
+    if stat(&store, "checkpoints_on_disk") > 2 {
         return Err("checkpoint retention leak".into());
     }
     println!(
         "chaos: storm survived — degraded {}x, healed {}x, watchdog restarts {}, store errors {}",
-        reply_stat(&stats, "degraded_entries "),
-        reply_stat(&stats, "heals "),
-        reply_stat(&stats, "watchdog_restarts "),
-        reply_stat(&stats, "store_errors "),
+        stat(&stats, "degraded_entries"),
+        stat(&stats, "heals"),
+        stat(&stats, "watchdog_restarts"),
+        stat(&stats, "store_errors"),
     );
-
-    // Gate 3a: post-heal state is already bit-identical while serving.
-    got.sort();
-    if got != expected {
-        let diff = got
-            .iter()
-            .zip(&expected)
-            .find(|(g, e)| g != e)
-            .map(|(g, e)| format!("got `{g}` want `{e}`"))
-            .unwrap_or_else(|| "length mismatch".into());
-        return Err(format!("post-heal state diverges: {diff}"));
-    }
 
     // Phase 2: SIGKILL, restart with a clean store, and require the
     // recovered state to match the same truth.
     drop(child);
-    let (child, _ingest, query) = spawn_soak_serve(&bin, &data_dir, &addr_file, &[])?;
-    let deadline = Instant::now() + std::time::Duration::from_secs(30);
-    let mut got;
-    loop {
-        let mut lines =
-            query_request(&query as &str, "RANGE -inf inf").map_err(|e| format!("range: {e}"))?;
-        let count_line = lines.pop().unwrap_or_default();
-        if count_line == format!("count {total}") {
-            got = lines;
-            break;
-        }
-        if Instant::now() > deadline {
-            return Err(format!(
-                "recovery lost records: {count_line} (want count {total})"
-            ));
-        }
-        std::thread::sleep(std::time::Duration::from_millis(30));
-    }
-    got.sort();
-    if got != expected {
-        return Err("recovered state diverges from the undisturbed run".into());
-    }
+    let child = spawn_soak_serve(&bin, &data_dir, &addr_file, &[])?;
+    let query = child.query.clone();
+    await_range(&query, &[], &expected, std::time::Duration::from_secs(30))
+        .map_err(|e| format!("recovered state vs the undisturbed run: {e}"))?;
     println!("chaos: recovered {total}/{total} packets bit-identically after SIGKILL");
     drop(child);
     let _ = std::fs::remove_dir_all(&scratch);
     let _ = std::fs::remove_file(&addr_file);
     println!("chaos: OK");
     Ok(())
-}
-
-/// Spawns a cluster-member `domo-sink serve` child: durable, one
-/// shard, labelled `--cluster-role member`, with a high-water mark far
-/// above the smoke workload so the estimator solves each member's
-/// whole share in one sorted flush at DRAIN — that makes the
-/// reconstruction a function of the *set* a member owns, independent
-/// of the nondeterministic interleave failover replay introduces, so
-/// the bit-identity gate below is exact (DESIGN.md §17.5).
-fn spawn_member_serve(
-    bin: &std::path::Path,
-    data_dir: &str,
-    addr_file: &std::path::Path,
-) -> Result<(ChildGuard, String, String), String> {
-    spawn_soak_serve(
-        bin,
-        data_dir,
-        addr_file,
-        &["--cluster-role", "member", "--high-water", "65536"],
-    )
 }
 
 /// Re-namespaces a simulated packet into `tenant`'s id space: every
@@ -1563,9 +1435,9 @@ fn line_tenant(line: &str) -> Option<u16> {
 /// sketch bound of an offline exact computation.
 fn clustersmoke(args: &Args) -> Result<(), String> {
     use domo_cluster::{split_node, tenant_of, Ring};
-    use domo_sink::client::query_request;
+    use domo_sink::client::{parse_stats, query_request, reference_lines, stat, ServeChild};
     use domo_sink::route::{cluster_agg, cluster_range, cluster_stats, RouteOptions, Router};
-    use domo_sink::service::{SinkConfig, SinkService};
+    use domo_sink::service::SinkConfig;
 
     let bin = sink_binary(args)?;
     let trace = run_simulation(&NetworkConfig::small(args.nodes, args.seed));
@@ -1593,14 +1465,21 @@ fn clustersmoke(args: &Args) -> Result<(), String> {
     // Three durable members.
     let scratch = std::env::temp_dir().join(format!("domo-clustersmoke-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&scratch);
-    let mut children: Vec<(ChildGuard, String, String)> = Vec::new();
+    let mut children: Vec<ServeChild> = Vec::new();
     for i in 0..3usize {
         let data_dir = scratch.join(format!("member-{i}")).display().to_string();
         let addr_file = scratch.join(format!("addr-{i}"));
         std::fs::create_dir_all(&scratch).map_err(|e| format!("scratch: {e}"))?;
-        children.push(spawn_member_serve(&bin, &data_dir, &addr_file)?);
+        // A high-water mark far above the smoke workload makes the
+        // estimator solve each member's whole share in one sorted
+        // flush at DRAIN, so the reconstruction is a function of the
+        // *set* a member owns, independent of the nondeterministic
+        // interleave failover replay introduces — the bit-identity
+        // gate below is exact (DESIGN.md §17.5).
+        let member = ["--cluster-role", "member", "--high-water", "65536"];
+        children.push(spawn_soak_serve(&bin, &data_dir, &addr_file, &member)?);
     }
-    let members: Vec<String> = children.iter().map(|(_, i, _)| i.clone()).collect();
+    let members: Vec<String> = children.iter().map(|c| c.ingest.clone()).collect();
 
     // The victim: whoever owns the most of the second half, so the
     // kill is guaranteed to hit in-flight traffic (a small tree has
@@ -1648,14 +1527,9 @@ fn clustersmoke(args: &Args) -> Result<(), String> {
         .iter()
         .position(|m| *m == victim)
         .ok_or("victim not a member")?;
-    {
-        let (child, ingest, _) = &mut children[victim_idx];
-        child
-            .0
-            .kill()
-            .map_err(|e| format!("kill victim {ingest}: {e}"))?;
-        let _ = child.0.wait();
-    }
+    children[victim_idx]
+        .kill()
+        .map_err(|e| format!("kill victim {victim}: {e}"))?;
     println!("clustersmoke: SIGKILLed {victim} after {half}/{total} records");
     std::thread::sleep(std::time::Duration::from_millis(50));
     for p in &workload[half..] {
@@ -1699,15 +1573,20 @@ fn clustersmoke(args: &Args) -> Result<(), String> {
     };
 
     // Every record must land exactly once across the survivors.
-    let queries: Vec<String> = survivors.iter().map(|&i| children[i].2.clone()).collect();
+    let queries: Vec<String> = survivors
+        .iter()
+        .map(|&i| children[i].query.clone())
+        .collect();
     let deadline = Instant::now() + std::time::Duration::from_secs(120);
     loop {
         let mut ingested = 0;
         let mut quarantined = 0;
         for q in &queries {
-            let stats = query_request(q.as_str(), "STATS").map_err(|e| format!("stats: {e}"))?;
-            ingested += reply_stat(&stats, "ingested ");
-            quarantined += reply_stat(&stats, "quarantined ");
+            let stats = parse_stats(
+                &query_request(q.as_str(), "STATS").map_err(|e| format!("stats: {e}"))?,
+            );
+            ingested += stat(&stats, "ingested");
+            quarantined += stat(&stats, "quarantined");
         }
         if quarantined != 0 {
             return Err(format!(
@@ -1735,29 +1614,12 @@ fn clustersmoke(args: &Args) -> Result<(), String> {
             .filter(|p| final_owner(p).as_deref() == Ok(members[i].as_str()))
             .cloned()
             .collect();
-        let svc = SinkService::start(SinkConfig {
+        let cfg = SinkConfig {
             shards: 1,
             high_water: Some(65_536),
             ..SinkConfig::default()
-        });
-        for p in &share {
-            svc.ingest(p.clone());
-        }
-        svc.drain();
-        for p in &share {
-            let r = svc
-                .reconstruction(p.pid)
-                .ok_or_else(|| format!("reference lost {}", p.pid))?;
-            let path: Vec<String> = r.path.iter().map(|n| n.index().to_string()).collect();
-            let times: Vec<String> = r.hop_times_ms.iter().map(|t| format!("{t:.3}")).collect();
-            expected.push(format!(
-                "packet {} path {} times {}",
-                p.pid,
-                path.join("-"),
-                times.join(" ")
-            ));
-        }
-        svc.shutdown();
+        };
+        expected.extend(reference_lines(cfg, &share)?);
     }
     expected.sort();
     if expected.len() != total {
@@ -1827,12 +1689,11 @@ fn clustersmoke(args: &Args) -> Result<(), String> {
     if gather.reached.len() != queries.len() {
         return Err(format!("cluster stats missed members: {:?}", gather.missed));
     }
-    let summed = |name: &str| stats.iter().find(|(n, _)| n == name).map_or(0, |&(_, v)| v);
-    if summed("ingested") != total as u64 || summed("emitted") != total as u64 {
+    if stat(&stats, "ingested") != total as u64 || stat(&stats, "emitted") != total as u64 {
         return Err(format!(
             "cluster totals off: ingested {} emitted {} want {total}",
-            summed("ingested"),
-            summed("emitted")
+            stat(&stats, "ingested"),
+            stat(&stats, "emitted")
         ));
     }
     let mut per_tenant: std::collections::BTreeMap<u16, u64> = Default::default();

@@ -107,8 +107,8 @@
 
 use domo_net::{run_simulation, CollectedPacket, NetworkConfig};
 use domo_sink::client::{
-    parse_stats, replay_packets, replay_packets_multi, tail_events, QueryClient, ReplayOptions,
-    TailOptions,
+    await_range, parse_stats, query_request, reference_lines, replay_packets, replay_packets_multi,
+    stat, tail_events, QueryClient, ReplayOptions, ServeChild, TailOptions,
 };
 use domo_sink::route::{
     cluster_agg, cluster_range, cluster_stats, route_connection, route_packets, GatherReport,
@@ -617,10 +617,6 @@ fn cluster(f: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn stat(stats: &[(String, u64)], name: &str) -> u64 {
-    stats.iter().find(|(n, _)| n == name).map_or(0, |(_, v)| *v)
-}
-
 fn smoke(f: &Flags) -> Result<(), String> {
     // Sample every packet so the end-to-end TRACE check below always
     // has a journey to show. Must happen before the replay: the first
@@ -659,17 +655,10 @@ fn smoke(f: &Flags) -> Result<(), String> {
     // The replay connection is closed; wait for the handler to drain it.
     let mut q =
         QueryClient::connect(server.query_addr()).map_err(|e| format!("query connect: {e}"))?;
-    let deadline = Instant::now() + Duration::from_secs(60);
-    loop {
-        let stats = parse_stats(&q.request("STATS").map_err(|e| format!("stats: {e}"))?);
-        if stat(&stats, "ingested") == delivered as u64 && stat(&stats, "malformed_frames") >= 1 {
-            break;
-        }
-        if Instant::now() > deadline {
-            return Err(format!("ingest stalled: {stats:?}"));
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
+    q.wait_stats(Duration::from_secs(60), |s| {
+        stat(s, "ingested") == delivered as u64 && stat(s, "malformed_frames") >= 1
+    })
+    .map_err(|e| format!("ingest: {e}"))?;
     q.request("DRAIN").map_err(|e| format!("drain: {e}"))?;
     let stats = parse_stats(&q.request("STATS").map_err(|e| format!("stats: {e}"))?);
     let emitted = stat(&stats, "emitted");
@@ -797,69 +786,26 @@ fn smoke(f: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-/// Kills the wrapped child on scope exit, so an error path can never
-/// leak a `serve` process — a leaked child inherits the parent's stdio
-/// pipes and wedges any harness waiting for them to close.
-struct ChildGuard(std::process::Child);
-
-impl ChildGuard {
-    fn kill(&mut self) -> Result<(), String> {
-        self.0.kill().map_err(|e| format!("kill: {e}"))?;
-        let _ = self.0.wait();
-        Ok(())
-    }
-}
-
-impl Drop for ChildGuard {
-    fn drop(&mut self) {
-        let _ = self.0.kill();
-        let _ = self.0.wait();
-    }
-}
-
-/// Spawns `domo-sink serve` as a child on OS-assigned loopback ports
-/// and polls its `--addr-file` until both addresses appear.
+/// Spawns this binary's `serve` as a durable child (tight fsync and
+/// checkpoint cadences, so a SIGKILL lands between both).
 fn spawn_durable_serve(
     data_dir: &str,
     shards: usize,
     addr_file: &std::path::Path,
-) -> Result<(ChildGuard, String, String), String> {
-    let _ = std::fs::remove_file(addr_file);
+) -> Result<ServeChild, String> {
     let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
-    let child = std::process::Command::new(exe)
-        .args([
-            "serve",
-            "--ingest-port",
-            "0",
-            "--query-port",
-            "0",
-            "--shards",
-            &shards.to_string(),
-            "--data-dir",
-            data_dir,
-            "--fsync",
-            "interval:8",
-            "--checkpoint-every",
-            "32",
-            "--addr-file",
-            &addr_file.display().to_string(),
-        ])
-        .spawn()
-        .map_err(|e| format!("spawn serve: {e}"))?;
-    let child = ChildGuard(child);
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        if let Ok(text) = std::fs::read_to_string(addr_file) {
-            let mut lines = text.lines();
-            if let (Some(ingest), Some(query)) = (lines.next(), lines.next()) {
-                return Ok((child, ingest.to_string(), query.to_string()));
-            }
-        }
-        if Instant::now() > deadline {
-            return Err("serve child never published its addresses".into());
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
+    let shards = shards.to_string();
+    let extra = [
+        "--shards",
+        shards.as_str(),
+        "--data-dir",
+        data_dir,
+        "--fsync",
+        "interval:8",
+        "--checkpoint-every",
+        "32",
+    ];
+    ServeChild::spawn(&exe, addr_file, &extra).map_err(|e| format!("spawn serve: {e}"))
 }
 
 /// The crash-recovery acceptance gate: SIGKILL a durable sink
@@ -886,7 +832,8 @@ fn crashsmoke(f: &Flags) -> Result<(), String> {
     // Phase 1: serve, ingest half the trace, and SIGKILL the process
     // once the half is acknowledged in STATS — the WAL holds it, the
     // result log and checkpoints hold whatever the shards got to.
-    let (mut child, ingest, query) = spawn_durable_serve(&data_dir, f.shards, &addr_file)?;
+    let mut child = spawn_durable_serve(&data_dir, f.shards, &addr_file)?;
+    let (ingest, query) = (child.ingest.clone(), child.query.clone());
     let half = total / 2;
     println!("crashsmoke: phase 1 serving at {ingest} / {query}, replaying {half}/{total} packets");
     replay_packets(
@@ -898,29 +845,25 @@ fn crashsmoke(f: &Flags) -> Result<(), String> {
         },
     )
     .map_err(|e| format!("phase-1 replay: {e}"))?;
-    let deadline = Instant::now() + Duration::from_secs(60);
-    loop {
-        let stats =
-            parse_stats(&query_lines(&query, "STATS").map_err(|e| format!("phase-1 stats: {e}"))?);
-        if stat(&stats, "ingested") >= half as u64 {
-            break;
-        }
-        if Instant::now() > deadline {
-            return Err("phase-1 ingest stalled".into());
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    child.kill()?;
+    let mut q = QueryClient::connect(&query as &str).map_err(|e| format!("phase-1 query: {e}"))?;
+    q.wait_stats(Duration::from_secs(60), |s| {
+        stat(s, "ingested") >= half as u64
+    })
+    .map_err(|e| format!("phase-1 ingest: {e}"))?;
+    child.kill().map_err(|e| format!("kill: {e}"))?;
     println!("crashsmoke: SIGKILLed the sink after {half} acknowledged packets");
 
     // Phase 2: restart on the same data dir. Recovery replays the WAL
     // tail; the full replay then fills in the unsent half (the already
     // durable prefix is deduplicated, never double-stored).
-    let (mut child, ingest, query) = spawn_durable_serve(&data_dir, f.shards, &addr_file)?;
+    let mut child = spawn_durable_serve(&data_dir, f.shards, &addr_file)?;
+    let (ingest, query) = (child.ingest.clone(), child.query.clone());
     // Counter baseline before the replay: every phase-2 frame lands in
     // exactly one of ingested/quarantined, so the delta reaching the
     // trace size means the socket is fully consumed.
-    let base = parse_stats(&query_lines(&query, "STATS").map_err(|e| format!("base stats: {e}"))?);
+    let base = parse_stats(
+        &query_request(&query as &str, "STATS").map_err(|e| format!("base stats: {e}"))?,
+    );
     let base_seen = stat(&base, "ingested") + stat(&base, "quarantined");
     replay_packets(
         &ingest as &str,
@@ -935,88 +878,31 @@ fn crashsmoke(f: &Flags) -> Result<(), String> {
     // frames are still in flight would flush the estimator mid-stream,
     // legitimately changing window boundaries (and thus estimates)
     // relative to the uninterrupted reference.
-    let deadline = Instant::now() + Duration::from_secs(60);
-    loop {
-        let stats =
-            parse_stats(&query_lines(&query, "STATS").map_err(|e| format!("phase-2 stats: {e}"))?);
-        if stat(&stats, "ingested") + stat(&stats, "quarantined") >= base_seen + total as u64 {
-            break;
-        }
-        if Instant::now() > deadline {
-            return Err("phase-2 ingest stalled".into());
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
+    let mut q = QueryClient::connect(&query as &str).map_err(|e| format!("phase-2 query: {e}"))?;
+    q.wait_stats(Duration::from_secs(60), |s| {
+        stat(s, "ingested") + stat(s, "quarantined") >= base_seen + total as u64
+    })
+    .map_err(|e| format!("phase-2 ingest: {e}"))?;
 
     // Uninterrupted reference with the same shard layout: identical
     // per-shard ingest order makes the estimates bit-identical, so the
     // %.3f-formatted query lines must match verbatim.
-    let reference = SinkService::start(SinkConfig {
-        shards: f.shards,
-        ..SinkConfig::default()
-    });
-    for p in &trace.packets {
-        reference.ingest(p.clone());
-    }
-    reference.drain();
-    let mut expected: Vec<String> = trace
-        .packets
-        .iter()
-        .map(|p| {
-            let r = reference
-                .reconstruction(p.pid)
-                .ok_or_else(|| format!("reference lost {}", p.pid))?;
-            let path: Vec<String> = r.path.iter().map(|n| n.index().to_string()).collect();
-            let times: Vec<String> = r.hop_times_ms.iter().map(|t| format!("{t:.3}")).collect();
-            Ok(format!(
-                "packet {} path {} times {}",
-                p.pid,
-                path.join("-"),
-                times.join(" ")
-            ))
-        })
-        .collect::<Result<_, String>>()?;
-    reference.shutdown();
-    expected.sort();
+    let expected = reference_lines(
+        SinkConfig {
+            shards: f.shards,
+            ..SinkConfig::default()
+        },
+        &trace.packets,
+    )?;
 
-    // Drain and poll until every packet is durably queryable.
-    let deadline = Instant::now() + Duration::from_secs(60);
-    let mut got: Vec<String>;
-    loop {
-        query_lines(&query, "DRAIN").map_err(|e| format!("phase-2 drain: {e}"))?;
-        let mut lines = query_lines(&query, "RANGE -inf inf").map_err(|e| format!("range: {e}"))?;
-        let count_line = lines.pop().unwrap_or_default();
-        if count_line == format!("count {total}") {
-            got = lines;
-            break;
-        }
-        if lines.len() > total {
-            return Err(format!(
-                "double-emit: RANGE returned {} records for {total} packets",
-                lines.len()
-            ));
-        }
-        if Instant::now() > deadline {
-            return Err(format!(
-                "recovery stalled: {count_line} (want count {total})"
-            ));
-        }
-        std::thread::sleep(Duration::from_millis(30));
-    }
-    got.sort();
-    if got != expected {
-        let diff = got
-            .iter()
-            .zip(&expected)
-            .find(|(g, e)| g != e)
-            .map(|(g, e)| format!("got `{g}` want `{e}`"))
-            .unwrap_or_else(|| "length mismatch".into());
-        return Err(format!("recovered state diverges from clean run: {diff}"));
-    }
+    // Drain and poll until every packet is durably queryable, then
+    // require the recovered state to equal the clean run's.
+    await_range(&query, &["DRAIN"], &expected, Duration::from_secs(60))
+        .map_err(|e| format!("recovery vs clean run: {e}"))?;
     // Spot-check the PACKET command path against the same truth.
     let pid = trace.packets[total - 1].pid;
-    let lines = query_lines(
-        &query,
+    let lines = query_request(
+        &query as &str,
         &format!("PACKET {} {}", pid.origin.index(), pid.seq),
     )
     .map_err(|e| format!("packet query: {e}"))?;
@@ -1029,24 +915,21 @@ fn crashsmoke(f: &Flags) -> Result<(), String> {
         return Err(format!("PACKET after recovery diverges: {lines:?}"));
     }
     // The durability posture must be visible to operators.
-    let stats = query_lines(&query, "STATS").map_err(|e| format!("stats: {e}"))?;
+    let stats = query_request(&query as &str, "STATS").map_err(|e| format!("stats: {e}"))?;
     if !stats.iter().any(|l| l.starts_with("data_dir ")) {
         return Err("STATS does not report data_dir".into());
     }
-    let store = query_lines(&query, "STORE STATS").map_err(|e| format!("store stats: {e}"))?;
+    let store =
+        query_request(&query as &str, "STORE STATS").map_err(|e| format!("store stats: {e}"))?;
     println!("crashsmoke: recovered {total}/{total} packets bit-identically");
     for line in store.iter().filter(|l| l.starts_with("recovery_")) {
         println!("crashsmoke: {line}");
     }
-    child.kill()?;
+    child.kill().map_err(|e| format!("kill: {e}"))?;
     let _ = std::fs::remove_dir_all(&data_dir);
     let _ = std::fs::remove_file(&addr_file);
     println!("crashsmoke: OK");
     Ok(())
-}
-
-fn query_lines(addr: &str, command: &str) -> std::io::Result<Vec<String>> {
-    QueryClient::connect(addr)?.request(command)
 }
 
 /// Mean seconds per call of `f`, repeated until the measurement is at
@@ -1521,17 +1404,8 @@ fn subsmoke(f: &Flags) -> Result<(), String> {
     // Wait until all three are registered, or emissions could slip
     // out before the subscriptions exist.
     let mut q = QueryClient::connect(query_addr).map_err(|e| format!("query connect: {e}"))?;
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        let stats = parse_stats(&q.request("STATS").map_err(|e| format!("stats: {e}"))?);
-        if stat(&stats, "subscribers") >= 3 {
-            break;
-        }
-        if Instant::now() > deadline {
-            return Err("subscribers never registered".into());
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    q.wait_stats(Duration::from_secs(30), |s| stat(s, "subscribers") >= 3)
+        .map_err(|e| format!("subscribers never registered: {e}"))?;
 
     // Phase 1: half the trace, emitted by an explicit DRAIN, then a
     // forced CHECKPOINT *while the subscribers live* — exactly-once
@@ -1916,17 +1790,9 @@ fn connsoak(f: &Flags) -> Result<(), String> {
 
 /// Polls STATS until `ingested` reaches `want`.
 fn wait_ingested(q: &mut QueryClient, want: u64) -> Result<(), String> {
-    let deadline = Instant::now() + Duration::from_secs(60);
-    loop {
-        let stats = parse_stats(&q.request("STATS").map_err(|e| format!("stats: {e}"))?);
-        if stat(&stats, "ingested") >= want {
-            return Ok(());
-        }
-        if Instant::now() > deadline {
-            return Err(format!("ingest stalled before {want}"));
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
+    q.wait_stats(Duration::from_secs(60), |s| stat(s, "ingested") >= want)
+        .map(drop)
+        .map_err(|e| format!("ingest stalled before {want}: {e}"))
 }
 
 fn main() {

@@ -4,6 +4,8 @@
 //! push stream with reconnect — the whole service is testable
 //! end-to-end without real hardware.
 
+use crate::server::packet_line;
+use crate::service::{SinkConfig, SinkService};
 use crate::wire::{encode_packet, encoded_len};
 use domo_net::CollectedPacket;
 use std::collections::HashSet;
@@ -58,6 +60,34 @@ impl QueryClient {
             lines.push(line);
         }
     }
+
+    /// Polls `STATS` every 20 ms until `done` accepts the parsed
+    /// reply, and returns that reply.
+    ///
+    /// # Errors
+    ///
+    /// Request failures, or `TimedOut` (quoting the last reply) once
+    /// `timeout` has passed.
+    pub fn wait_stats(
+        &mut self,
+        timeout: Duration,
+        done: impl Fn(&[(String, u64)]) -> bool,
+    ) -> std::io::Result<Vec<(String, u64)>> {
+        let deadline = Instant::now() + timeout;
+        loop {
+            let stats = parse_stats(&self.request("STATS")?);
+            if done(&stats) {
+                return Ok(stats);
+            }
+            if Instant::now() > deadline {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::TimedOut,
+                    format!("stalled at {stats:?}"),
+                ));
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+    }
 }
 
 /// One-shot convenience: connect, send one command, return the reply.
@@ -81,6 +111,175 @@ pub fn parse_stats(lines: &[String]) -> Vec<(String, u64)> {
             Some((name, value))
         })
         .collect()
+}
+
+/// The value of counter `name` in a [`parse_stats`] result, 0 when
+/// absent.
+pub fn stat(stats: &[(String, u64)], name: &str) -> u64 {
+    stats.iter().find(|(n, _)| n == name).map_or(0, |(_, v)| *v)
+}
+
+/// The sorted `PACKET` / `RANGE` reply lines an undisturbed in-process
+/// service configured as `cfg` (volatile) produces for `packets` — the
+/// truth the crash, chaos and cluster gates diff a recovered sink
+/// against. Admission is partition invariant, so one whole-trace batch
+/// stands for whatever batches the reactor cut on the wire.
+///
+/// # Errors
+///
+/// Names the first packet the reference failed to reconstruct.
+pub fn reference_lines(
+    cfg: SinkConfig,
+    packets: &[CollectedPacket],
+) -> Result<Vec<String>, String> {
+    let reference = SinkService::start(cfg);
+    reference.ingest_batch(packets);
+    reference.drain();
+    let lines = packets
+        .iter()
+        .map(|p| match reference.reconstruction(p.pid) {
+            Some(r) => Ok(packet_line(p.pid, &r)),
+            None => Err(format!("reference lost {}", p.pid)),
+        })
+        .collect::<Result<Vec<String>, String>>();
+    reference.shutdown();
+    let mut lines = lines?;
+    lines.sort();
+    Ok(lines)
+}
+
+/// Polls the sink at `query` until a durable `RANGE -inf inf` scan
+/// holds exactly `expected.len()` records — sending `before` (e.g.
+/// `DRAIN`, `CHECKPOINT`) ahead of every scan — then requires the
+/// sorted record lines to equal `expected` (sorted, as
+/// [`reference_lines`] returns them).
+///
+/// # Errors
+///
+/// Query failures, more records than expected (a double emit), the
+/// timeout, or the first line where the sink diverges from `expected`.
+pub fn await_range(
+    query: &str,
+    before: &[&str],
+    expected: &[String],
+    timeout: Duration,
+) -> Result<(), String> {
+    let total = expected.len();
+    let deadline = Instant::now() + timeout;
+    let mut got = loop {
+        for cmd in before {
+            query_request(query, cmd).map_err(|e| format!("{cmd}: {e}"))?;
+        }
+        let mut lines =
+            query_request(query, "RANGE -inf inf").map_err(|e| format!("range: {e}"))?;
+        let count_line = lines.pop().unwrap_or_default();
+        if count_line == format!("count {total}") {
+            break lines;
+        }
+        if lines.len() > total {
+            return Err(format!(
+                "double-emit: RANGE returned {} records for {total} packets",
+                lines.len()
+            ));
+        }
+        if Instant::now() > deadline {
+            return Err(format!("stalled: {count_line} (want count {total})"));
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    got.sort();
+    match got.iter().zip(expected).find(|(g, e)| g != e) {
+        Some((g, e)) => Err(format!("state diverges: got `{g}` want `{e}`")),
+        None => Ok(()),
+    }
+}
+
+/// A `domo-sink serve` child process on OS-assigned loopback ports,
+/// killed and reaped on drop — so no error path of a smoke or soak can
+/// leak a background sink (a leaked child that inherited the parent's
+/// stdio pipes wedges any harness waiting for them to close).
+pub struct ServeChild {
+    child: std::process::Child,
+    /// The child's ingest listener address.
+    pub ingest: String,
+    /// The child's query listener address.
+    pub query: String,
+}
+
+impl ServeChild {
+    /// Spawns `bin serve --ingest-port 0 --query-port 0 --addr-file
+    /// <addr_file> <extra…>` and polls the addr file until both bound
+    /// addresses appear. Child stdio goes to null: a harness judges
+    /// the child through the query protocol, not by scraping its logs.
+    ///
+    /// # Errors
+    ///
+    /// Spawn failures, or `TimedOut` if the child has not published
+    /// its addresses within 30 s.
+    pub fn spawn(
+        bin: &std::path::Path,
+        addr_file: &std::path::Path,
+        extra: &[&str],
+    ) -> std::io::Result<Self> {
+        use std::process::{Command, Stdio};
+        let _ = std::fs::remove_file(addr_file);
+        let child = Command::new(bin)
+            .args(["serve", "--ingest-port", "0", "--query-port", "0"])
+            .arg("--addr-file")
+            .arg(addr_file)
+            .args(extra)
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .spawn()?;
+        let mut serve = Self {
+            child,
+            ingest: String::new(),
+            query: String::new(),
+        };
+        let deadline = Instant::now() + Duration::from_secs(30);
+        loop {
+            if let Ok(text) = std::fs::read_to_string(addr_file) {
+                let mut lines = text.lines();
+                if let (Some(ingest), Some(query)) = (lines.next(), lines.next()) {
+                    serve.ingest = ingest.to_string();
+                    serve.query = query.to_string();
+                    return Ok(serve);
+                }
+            }
+            if Instant::now() > deadline {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::TimedOut,
+                    "serve child never published its addresses",
+                ));
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+    }
+
+    /// SIGKILLs and reaps the child now (dropping it does the same).
+    ///
+    /// # Errors
+    ///
+    /// Propagates the kill failure.
+    pub fn kill(&mut self) -> std::io::Result<()> {
+        self.child.kill()?;
+        self.child.wait().map(drop)
+    }
+
+    /// The child's exit status if it has already exited on its own.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the wait failure.
+    pub fn exit_status(&mut self) -> std::io::Result<Option<std::process::ExitStatus>> {
+        self.child.try_wait()
+    }
+}
+
+impl Drop for ServeChild {
+    fn drop(&mut self) {
+        let _ = self.kill();
+    }
 }
 
 /// Knobs of [`replay_packets`].

@@ -43,9 +43,12 @@
 //!
 //! let trace = domo_net::run_simulation(&domo_net::NetworkConfig::small(9, 1));
 //! let service = SinkService::start(SinkConfig::default());
-//! for p in &trace.packets {
-//!     service.ingest(p.clone());
-//! }
+//! // `ingest_batch` is the one admission path; `ingest(p)` is the same
+//! // call with a batch of one, for callers that want a per-record
+//! // `IngestOutcome`. Any split of the trace gives the same result.
+//! let (head, rest) = trace.packets.split_at(1);
+//! service.ingest(head[0].clone());
+//! service.ingest_batch(rest);
 //! service.drain();
 //! let snapshot = service.snapshot();
 //! assert_eq!(snapshot.stats.emitted, trace.packets.len() as u64);

@@ -95,7 +95,7 @@
 //! scripts can key off the `store disabled` marker.
 
 use crate::reactor::Reactor;
-use crate::service::{SinkConfig, SinkService, SinkSnapshot};
+use crate::service::{SinkConfig, SinkService, SinkSnapshot, StoredReconstruction};
 use domo_obs::LazyCounter;
 use domo_query::series::AggBucket;
 use domo_query::sub::{RecvOutcome, SubFilter};
@@ -317,6 +317,18 @@ fn shed_overcap(kind: &str) {
 
 /// Writes an `ERR <reason>` reply line and counts it, so protocol
 /// misuse is visible in METRICS, not only to the offending client.
+/// One reconstruction as its `PACKET` / `RANGE` reply line:
+/// `packet <pid> path <a-b-c> times <t0 t1 …>` (ms, three decimals).
+pub fn packet_line(pid: domo_net::PacketId, r: &StoredReconstruction) -> String {
+    let path: Vec<String> = r.path.iter().map(|n| n.index().to_string()).collect();
+    let times: Vec<String> = r.hop_times_ms.iter().map(|t| format!("{t:.3}")).collect();
+    format!(
+        "packet {pid} path {} times {}",
+        path.join("-"),
+        times.join(" ")
+    )
+}
+
 fn err_reply(out: &mut impl Write, reason: &str) -> std::io::Result<()> {
     OBS_QUERY_ERRORS.inc();
     writeln!(out, "ERR {reason}")
@@ -543,18 +555,7 @@ fn handle_query(stream: TcpStream, service: &SinkService) -> std::io::Result<()>
                     (Some(origin), Some(seq)) => {
                         let pid = domo_net::PacketId::new(domo_net::NodeId::new(origin), seq);
                         match service.reconstruction(pid) {
-                            Some(r) => {
-                                let path: Vec<String> =
-                                    r.path.iter().map(|n| n.index().to_string()).collect();
-                                let times: Vec<String> =
-                                    r.hop_times_ms.iter().map(|t| format!("{t:.3}")).collect();
-                                writeln!(
-                                    out,
-                                    "packet {pid} path {} times {}",
-                                    path.join("-"),
-                                    times.join(" ")
-                                )?;
-                            }
+                            Some(r) => writeln!(out, "{}", packet_line(pid, &r))?,
                             None => err_reply(&mut out, &format!("no reconstruction for {pid}"))?,
                         }
                         writeln!(out, "END")?;
@@ -579,16 +580,7 @@ fn handle_query(stream: TcpStream, service: &SinkService) -> std::io::Result<()>
                     (Some(lo), Some(hi)) => match service.range(lo, hi) {
                         Ok(records) => {
                             for (pid, r) in &records {
-                                let path: Vec<String> =
-                                    r.path.iter().map(|n| n.index().to_string()).collect();
-                                let times: Vec<String> =
-                                    r.hop_times_ms.iter().map(|t| format!("{t:.3}")).collect();
-                                writeln!(
-                                    out,
-                                    "packet {pid} path {} times {}",
-                                    path.join("-"),
-                                    times.join(" ")
-                                )?;
+                                writeln!(out, "{}", packet_line(*pid, r))?;
                             }
                             writeln!(out, "count {}", records.len())?;
                         }

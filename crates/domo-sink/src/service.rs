@@ -33,7 +33,7 @@
 //!   deduplicated, losses are counted as `watchdog_dropped`).
 
 use crate::persist::{self, CheckpointState, RecoveryReport, StoreConfig, StoreErrorPolicy};
-use crate::wire::{self, WireError};
+use crate::wire;
 use domo_core::sanitize::{check_packet, SanitizeConfig, TraceError};
 use domo_core::streaming::{ReconstructedPacket, StreamingEstimator, StreamingSnapshot};
 use domo_core::EstimatorConfig;
@@ -397,6 +397,19 @@ struct StatsCells {
 }
 
 impl StatsCells {
+    /// The counters in the order a checkpoint stores them.
+    fn checkpointed(&self) -> [&AtomicU64; 7] {
+        [
+            &self.ingested,
+            &self.emitted,
+            &self.quarantined,
+            &self.malformed_frames,
+            &self.backpressure_dropped,
+            &self.estimator_errors,
+            &self.watchdog_dropped,
+        ]
+    }
+
     fn snapshot(&self) -> SinkStatsSnapshot {
         SinkStatsSnapshot {
             ingested: self.ingested.load(Ordering::Relaxed),
@@ -464,13 +477,6 @@ struct ShardQueue {
     dropped: domo_obs::Counter,
 }
 
-enum PushOutcome {
-    Queued,
-    /// The queue was saturated; this (oldest) packet was evicted.
-    DroppedOldest(PacketId),
-    Closed,
-}
-
 /// Locks a mutex, recovering the data from a poisoned lock (a panicking
 /// worker must degrade the service, not wedge it).
 fn lock_or_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -491,56 +497,6 @@ impl ShardQueue {
             depth: recorder.gauge("domo_sink_queue_depth", labels),
             dropped: recorder.counter("domo_sink_queue_dropped_total", labels),
         }
-    }
-
-    fn push_packet(&self, p: CollectedPacket) -> PushOutcome {
-        let mut st = lock_or_recover(&self.state);
-        if st.closed {
-            return PushOutcome::Closed;
-        }
-        let mut dropped = None;
-        if st.queued_packets >= self.capacity {
-            // Drop the oldest *packet*; control messages keep their slot
-            // (losing a drain ack would wedge the caller).
-            if let Some(at) = st
-                .msgs
-                .iter()
-                .position(|m| matches!(m, ShardMsg::Packet(_)))
-            {
-                if let Some(ShardMsg::Packet(old)) = st.msgs.remove(at) {
-                    st.queued_packets -= 1;
-                    dropped = Some(old.pid);
-                }
-            }
-        }
-        st.msgs.push_back(ShardMsg::Packet(p));
-        st.queued_packets += 1;
-        self.depth.set(st.queued_packets as f64);
-        if dropped.is_some() {
-            self.dropped.inc();
-        }
-        drop(st);
-        self.ready.notify_one();
-        match dropped {
-            Some(old) => PushOutcome::DroppedOldest(old),
-            None => PushOutcome::Queued,
-        }
-    }
-
-    /// Enqueues a packet without the capacity bound — recovery replay
-    /// only. Backpressure exists to shed *live* load; records already
-    /// acknowledged into the WAL must never be shed on the way back in.
-    fn push_packet_unbounded(&self, p: CollectedPacket) -> bool {
-        let mut st = lock_or_recover(&self.state);
-        if st.closed {
-            return false;
-        }
-        st.msgs.push_back(ShardMsg::Packet(p));
-        st.queued_packets += 1;
-        self.depth.set(st.queued_packets as f64);
-        drop(st);
-        self.ready.notify_one();
-        true
     }
 
     /// Enqueues a control message (exempt from the capacity bound).
@@ -624,20 +580,36 @@ impl ShardQueue {
     }
 }
 
-/// Durable state guarded by one mutex: holding it serializes WAL
-/// appends with shard pushes, so **WAL order equals queue order** — the
-/// invariant that makes a checkpoint's WAL cut exact.
-struct WalState {
-    wal: Wal,
-    /// Ids of every packet journaled so far (below compacted history,
-    /// restored from the checkpoint). This — not the in-memory fast
-    /// path — is the dedup set checkpoints persist: a pid is only here
-    /// once its WAL append succeeded, so recovery never remembers a
-    /// packet it cannot replay. (Degraded-mode records are the one
-    /// exception: accepted un-journaled, they stay visible here and are
-    /// made durable by the next checkpoint instead.)
+/// Admission state guarded by one mutex: holding it serializes the
+/// dedup decision, the journal append and the shard pushes of a batch,
+/// so **journal order equals queue order** per shard — the invariant
+/// that makes a checkpoint's WAL cut exact.
+#[derive(Default)]
+struct Admission {
+    /// Ids of every packet admitted so far (below compacted history,
+    /// restored from the checkpoint) — the set checkpoints persist. A
+    /// pid enters it in the same lock window as its journal record, so
+    /// recovery never remembers a packet it cannot replay.
+    /// (Degraded-mode records are the one exception: accepted
+    /// un-journaled, they stay visible here and are made durable by the
+    /// next checkpoint instead.)
     seen: FastHashSet<PacketId>,
+    /// The journal; `None` on a volatile service, where the journal
+    /// step of admission is a no-op.
+    wal: Option<Wal>,
     appends_since_ckpt: u64,
+}
+
+impl Admission {
+    /// The journal (`Unsupported` on a volatile service).
+    fn journal(&mut self) -> std::io::Result<&mut Wal> {
+        self.wal.as_mut().ok_or_else(|| {
+            std::io::Error::new(
+                std::io::ErrorKind::Unsupported,
+                "durability is disabled (no data dir)",
+            )
+        })
+    }
 }
 
 /// Result-log state: the store plus the ids already persisted, which
@@ -654,7 +626,6 @@ struct ResultState {
 /// Everything durability adds to a running service.
 struct Persistence {
     cfg: StoreConfig,
-    walstate: Mutex<WalState>,
     checkpoints: CheckpointStore,
     results: Mutex<ResultState>,
     /// Serializes checkpoints (the auto-trigger try-locks and skips).
@@ -812,17 +783,30 @@ pub struct StoreStatus {
     pub recovery: RecoveryReport,
 }
 
-/// Durable state reloaded by [`SinkService::open`] before the workers
-/// start: the persistence handle, the per-shard estimator snapshots
-/// from the checkpoint, and the WAL tail awaiting replay.
+/// State [`SinkService::open`] starts the workers from: for a durable
+/// service the persistence handle, the journal with the dedup set of
+/// everything it (and the checkpoint below it) holds, the per-shard
+/// estimator snapshots from the checkpoint, and the WAL tail awaiting
+/// replay; for a volatile one, nothing.
 struct Recovered {
-    persistence: Arc<Persistence>,
+    persistence: Option<Arc<Persistence>>,
+    admission: Admission,
     covered: u64,
     shard_snapshots: Vec<Option<StreamingSnapshot>>,
     tail_records: Vec<(u64, Vec<u8>)>,
 }
 
 impl Recovered {
+    fn volatile(shards: usize) -> Self {
+        Self {
+            persistence: None,
+            admission: Admission::default(),
+            covered: 0,
+            shard_snapshots: (0..shards).map(|_| None).collect(),
+            tail_records: Vec::new(),
+        }
+    }
+
     fn load(
         sc: &StoreConfig,
         shards: usize,
@@ -867,7 +851,7 @@ impl Recovered {
         // treated like a corrupt one: skipped, counted, recovered past.
         let mut shard_snapshots: Vec<Option<StreamingSnapshot>> =
             (0..shards).map(|_| None).collect();
-        let mut seen: FastHashSet<PacketId> = FastHashSet::default();
+        let mut checkpointed_pids: Vec<PacketId> = Vec::new();
         let mut covered = 0u64;
         if let Some(loaded) = checkpoints.latest()? {
             match persist::decode_checkpoint(&loaded.payload) {
@@ -888,24 +872,10 @@ impl Recovered {
                     for (slot, snap) in shard_snapshots.iter_mut().zip(state.shards) {
                         *slot = Some(snap);
                     }
-                    stats.ingested.store(state.counters[0], Ordering::Relaxed);
-                    stats.emitted.store(state.counters[1], Ordering::Relaxed);
-                    stats
-                        .quarantined
-                        .store(state.counters[2], Ordering::Relaxed);
-                    stats
-                        .malformed_frames
-                        .store(state.counters[3], Ordering::Relaxed);
-                    stats
-                        .backpressure_dropped
-                        .store(state.counters[4], Ordering::Relaxed);
-                    stats
-                        .estimator_errors
-                        .store(state.counters[5], Ordering::Relaxed);
-                    stats
-                        .watchdog_dropped
-                        .store(state.counters[6], Ordering::Relaxed);
-                    seen.extend(state.seen);
+                    for (cell, v) in stats.checkpointed().iter().zip(state.counters) {
+                        cell.store(v, Ordering::Relaxed);
+                    }
+                    checkpointed_pids = state.seen;
                     let mut st = lock_or_recover(store);
                     st.node_stats = persist::node_stats_from_parts(&state.node_stats);
                     // Bit-identical sketch restore; a granularity
@@ -958,19 +928,17 @@ impl Recovered {
         // its pids enter the dedup set now so a client re-sending the
         // same input is quarantined, not double-processed.
         let tail_records = wal.records_from(covered)?;
-        for (_, payload) in &tail_records {
-            if let Ok((p, _)) = wire::decode_packet(payload) {
-                seen.insert(p.pid);
-            }
-        }
+        let seen: FastHashSet<PacketId> = checkpointed_pids
+            .into_iter()
+            .chain(
+                tail_records
+                    .iter()
+                    .filter_map(|(_, payload)| Some(wire::decode_packet(payload).ok()?.0.pid)),
+            )
+            .collect();
 
         let persistence = Arc::new(Persistence {
             cfg: sc.clone(),
-            walstate: Mutex::new(WalState {
-                wal,
-                seen,
-                appends_since_ckpt: 0,
-            }),
             checkpoints,
             results: Mutex::new(ResultState {
                 store: rstore,
@@ -988,12 +956,109 @@ impl Recovered {
             unjournaled: AtomicU64::new(0),
         });
         Ok(Self {
-            persistence,
+            persistence: Some(persistence),
+            admission: Admission {
+                seen,
+                wal: Some(wal),
+                appends_since_ckpt: 0,
+            },
             covered,
             shard_snapshots,
             tail_records,
         })
     }
+}
+
+/// The journal step of admission, under the caller-held `admission`
+/// lock: appends the batch to the WAL in order and returns
+/// `(checkpoint_due, probe_due)`. While durability is suspended the
+/// records are accepted un-journaled (counted) and drive the heal-probe
+/// cadence instead.
+fn journal_batch(
+    persist: &Persistence,
+    adm: &mut Admission,
+    routed: &[(usize, CollectedPacket)],
+) -> (bool, bool) {
+    let Some(wal) = adm.wal.as_mut() else {
+        return (false, false);
+    };
+    if routed.is_empty() {
+        return (false, false); // nothing survived sanitize + dedup
+    }
+    let mut checkpoint_due = false;
+    let mut probe_due = false;
+    let unjournaled;
+    // Records admitted with durability already suspended: they drive
+    // the heal-probe cadence.
+    let mut probe_tail = 0u64;
+    if persist.durability_active() {
+        let mut frames: Vec<Vec<u8>> = Vec::with_capacity(routed.len());
+        // `routed` index behind each frame, and the routed indices of
+        // records the wire codec refused (accepted un-journaled).
+        let mut enc_pos: Vec<usize> = Vec::with_capacity(routed.len());
+        let mut unencodable: Vec<usize> = Vec::new();
+        for (i, (_, p)) in routed.iter().enumerate() {
+            let mut frame = Vec::new();
+            if wire::encode_packet(p, &mut frame).is_ok() {
+                frames.push(frame);
+                enc_pos.push(i);
+            } else {
+                unencodable.push(i);
+            }
+        }
+        let out = wal.append_batch(frames.iter().map(Vec::as_slice));
+        if out.appended > 0 {
+            adm.appends_since_ckpt += out.appended as u64;
+            checkpoint_due = adm.appends_since_ckpt >= persist.cfg.checkpoint_every.max(1);
+        }
+        match out.error {
+            None => unjournaled = unencodable.len() as u64,
+            Some(e) => {
+                // Disk trouble degrades durability, not service: the
+                // failing record and everything behind it are accepted
+                // un-journaled, and the tail counts toward the probe
+                // cadence one record at a time.
+                persist.note_store_error("wal append", &e);
+                let failed_at = enc_pos[out.appended];
+                let tail = (routed.len() - failed_at - 1) as u64;
+                let before = unencodable.iter().filter(|&&i| i < failed_at).count() as u64;
+                unjournaled = before + 1 + tail;
+                if persist.health() == SinkHealth::Degraded {
+                    probe_tail = tail;
+                }
+            }
+        }
+        for &i in &enc_pos[..out.appended] {
+            trace_stamp(routed[i].1.pid, TraceStage::WalAppend);
+        }
+    } else {
+        // Degraded (or dropped/failed) before the batch: everything is
+        // accepted un-journaled. The records reconstruct normally; only
+        // their crash durability is suspended until the next
+        // checkpoint.
+        unjournaled = routed.len() as u64;
+        if persist.health() == SinkHealth::Degraded {
+            probe_tail = routed.len() as u64;
+        }
+    }
+    if unjournaled > 0 {
+        persist
+            .unjournaled
+            .fetch_add(unjournaled, Ordering::Relaxed);
+        OBS_UNJOURNALED.add(unjournaled);
+    }
+    if probe_tail > 0 {
+        let pe = persist.cfg.probe_every.max(1);
+        let n = persist.since_probe.fetch_add(probe_tail, Ordering::Relaxed) + probe_tail;
+        if n >= pe {
+            // The counter is zeroed at every crossing; over
+            // `probe_tail` unit increments that leaves exactly the
+            // modulus, whatever the batch size.
+            persist.since_probe.store(n % pe, Ordering::Relaxed);
+            probe_due = true;
+        }
+    }
+    (checkpoint_due, probe_due)
 }
 
 /// Shared inner state: everything the public handle, the shard workers
@@ -1005,7 +1070,9 @@ struct Core {
     workers: Mutex<Vec<Option<JoinHandle<()>>>>,
     stats: StatsCells,
     store: Mutex<Store>,
-    seen: Mutex<FastHashSet<PacketId>>,
+    /// The one admission lock: dedup set plus (when durable) the
+    /// journal. Lock order: `ckpt_guard` → `admission` → `inflight`.
+    admission: Mutex<Admission>,
     sanitize: SanitizeConfig,
     est_cfg: EstimatorConfig,
     high_water: Option<usize>,
@@ -1055,401 +1122,191 @@ struct Core {
 }
 
 impl Core {
-    /// Charges one accepted record of `origin`'s tenant against the
-    /// quota, under the caller-held `tenant_counts` lock. `false`
-    /// means the tenant is at cap and the record must be rejected;
-    /// the caller then un-remembers the pid from its dedup set (the
-    /// charge and the dedup insert sit in one lock window, so the
-    /// rejection leaves no trace).
-    fn charge_tenant(&self, counts: &mut BTreeMap<u16, u64>, origin: NodeId) -> bool {
-        let tenant = domo_cluster::tenant_of(origin.index() as u16);
-        let c = counts.entry(tenant).or_insert(0);
-        if self.tenant_quota.is_some_and(|q| *c >= q) {
-            return false;
+    fn note_quarantined(&self, n: u64) {
+        if n > 0 {
+            self.stats.quarantined.fetch_add(n, Ordering::Relaxed);
+            OBS_QUARANTINED.add(n);
         }
-        *c += 1;
-        true
     }
 
-    fn note_quota_rejected(&self, n: u64) {
-        self.quota_rejected.fetch_add(n, Ordering::Relaxed);
-        OBS_QUOTA_REJECTED.add(n);
-    }
-
-    fn ingest(&self, p: CollectedPacket) -> IngestOutcome {
-        if let Err(e) = check_packet(&p, &self.sanitize) {
-            self.stats.quarantined.fetch_add(1, Ordering::Relaxed);
-            OBS_QUARANTINED.inc();
-            return IngestOutcome::Quarantined(e);
-        }
-        // Sanitized records always have ≥ 2 path nodes.
-        let Some(root) = p.subtree_root() else {
-            self.stats.quarantined.fetch_add(1, Ordering::Relaxed);
-            OBS_QUARANTINED.inc();
-            return IngestOutcome::Quarantined(TraceError::PathTooShort { len: p.path.len() });
-        };
-        let shard = root.index() % self.shards.len();
-        let Some(persist) = self.persist.clone() else {
-            {
-                let mut seen = lock_or_recover(&self.seen);
-                if !seen.insert(p.pid) {
-                    drop(seen);
-                    self.stats.quarantined.fetch_add(1, Ordering::Relaxed);
-                    OBS_QUARANTINED.inc();
-                    return IngestOutcome::Quarantined(TraceError::DuplicateId);
-                }
-                let mut tc = lock_or_recover(&self.tenant_counts);
-                if !self.charge_tenant(&mut tc, p.pid.origin) {
-                    seen.remove(&p.pid);
-                    drop(tc);
-                    drop(seen);
-                    self.note_quota_rejected(1);
-                    return IngestOutcome::QuotaRejected;
-                }
-            }
-            return self.push_to_shard(shard, p);
-        };
-        // Durable path: dedup, WAL append, and shard push all under
-        // the WAL lock, so the journal's record order is exactly the
-        // queue order — the invariant a checkpoint's cut relies on. A
-        // pid enters the dedup set only alongside its journal record:
-        // a crash between the two can never "remember" a packet the
-        // WAL cannot replay.
-        let outcome;
-        let mut checkpoint_due = false;
-        let mut probe_due = false;
-        {
-            let mut ws = lock_or_recover(&persist.walstate);
-            if !ws.seen.insert(p.pid) {
-                drop(ws);
-                self.stats.quarantined.fetch_add(1, Ordering::Relaxed);
-                OBS_QUARANTINED.inc();
-                return IngestOutcome::Quarantined(TraceError::DuplicateId);
-            }
-            {
-                let mut tc = lock_or_recover(&self.tenant_counts);
-                if !self.charge_tenant(&mut tc, p.pid.origin) {
-                    ws.seen.remove(&p.pid);
-                    drop(tc);
-                    drop(ws);
-                    self.note_quota_rejected(1);
-                    return IngestOutcome::QuotaRejected;
-                }
-            }
-            if persist.durability_active() {
-                let mut frame = Vec::new();
-                let journaled = wire::encode_packet(&p, &mut frame).is_ok()
-                    && match ws.wal.append(&frame) {
-                        Ok(_) => true,
-                        Err(e) => {
-                            // Disk trouble degrades durability, not
-                            // service: the record still reconstructs in
-                            // memory, the failure engages the policy.
-                            persist.note_store_error("wal append", &e);
-                            false
-                        }
-                    };
-                if journaled {
-                    ws.appends_since_ckpt += 1;
-                    checkpoint_due = ws.appends_since_ckpt >= persist.cfg.checkpoint_every.max(1);
-                } else {
-                    persist.unjournaled.fetch_add(1, Ordering::Relaxed);
-                    OBS_UNJOURNALED.inc();
-                }
-            } else {
-                // Degraded (or dropped/failed): accepted un-journaled.
-                // The record reconstructs normally; only its crash
-                // durability is suspended until the next checkpoint.
-                persist.unjournaled.fetch_add(1, Ordering::Relaxed);
-                OBS_UNJOURNALED.inc();
-                if persist.health() == SinkHealth::Degraded {
-                    let n = persist.since_probe.fetch_add(1, Ordering::Relaxed) + 1;
-                    if n >= persist.cfg.probe_every.max(1) {
-                        persist.since_probe.store(0, Ordering::Relaxed);
-                        probe_due = true;
-                    }
-                }
-            }
-            outcome = self.push_to_shard(shard, p);
-        }
-        if checkpoint_due {
-            self.maybe_checkpoint(&persist);
-        } else if probe_due {
-            self.try_heal(&persist);
-        }
-        outcome
-    }
-
-    /// Batched ingest: one `walstate` lock hold covers the dedup, the
-    /// multi-record WAL append, and every in-order shard push of the
-    /// whole batch.
+    /// The one admission path: sanitize and route with no lock held;
+    /// then, under one `admission` lock hold, dedup + quota-charge,
+    /// journal (a no-op without a store) and push grouped by shard;
+    /// then, the lock released, the checkpoint / heal-probe trigger —
+    /// once per call, so the batch is the scheduling quantum for those
+    /// background transitions. The partition-invariance contract is on
+    /// [`SinkService::ingest_batch`]; a store error mid-batch journals
+    /// exactly the prefix before the failing record, engages the error
+    /// policy once, and accepts the rest un-journaled.
     ///
-    /// The record-level semantics match a loop of [`Core::ingest`]
-    /// calls exactly — same quarantine decisions, same journal bytes,
-    /// same queue order (journal order == queue order, per record),
-    /// same accounting — with one documented quantization: checkpoint
-    /// and heal-probe triggers are evaluated once at the batch
-    /// boundary, not between records, so the batch is the scheduling
-    /// quantum for those background transitions. A store error
-    /// mid-batch journals exactly the prefix a sequential caller would
-    /// have journaled, engages the error policy once, and accepts the
-    /// rest un-journaled.
-    fn ingest_batch(&self, packets: Vec<CollectedPacket>) -> BatchIngestReport {
+    /// Also returns why the last quarantined record was rejected —
+    /// what [`SinkService::ingest`] reports for its batch of one.
+    fn admit(&self, packets: Vec<CollectedPacket>) -> (BatchIngestReport, Option<TraceError>) {
         let mut report = BatchIngestReport::default();
+        let mut rejected = None;
         if packets.is_empty() {
-            return report;
+            return (report, rejected);
         }
         OBS_BATCH_PACKETS.observe(packets.len() as f64);
-        // Phase 1, no locks: sanitize and route.
         let mut routed: Vec<(usize, CollectedPacket)> = Vec::with_capacity(packets.len());
         for p in packets {
-            if check_packet(&p, &self.sanitize).is_err() {
+            if let Err(e) = check_packet(&p, &self.sanitize) {
                 report.quarantined += 1;
+                rejected = Some(e);
                 continue;
             }
+            // Sanitized records always have ≥ 2 path nodes.
             let Some(root) = p.subtree_root() else {
                 report.quarantined += 1;
+                rejected = Some(TraceError::PathTooShort { len: p.path.len() });
                 continue;
             };
             trace_stamp(p.pid, TraceStage::BatchSubmit);
             routed.push((root.index() % self.shards.len(), p));
         }
-        if report.quarantined > 0 {
-            self.stats
-                .quarantined
-                .fetch_add(report.quarantined, Ordering::Relaxed);
-            OBS_QUARANTINED.add(report.quarantined);
-        }
-        let Some(persist) = self.persist.clone() else {
-            // Volatile: one dedup-set (and tenant-quota) lock hold for
-            // the whole batch, then in-order pushes (same lock
-            // discipline as `ingest`, which also releases `seen`
-            // before pushing).
-            let mut dups = 0u64;
-            let mut quota_hits = 0u64;
-            {
-                let mut seen = lock_or_recover(&self.seen);
-                let mut tc = lock_or_recover(&self.tenant_counts);
-                routed.retain(|(_, p)| {
-                    if !seen.insert(p.pid) {
-                        dups += 1;
-                        return false;
-                    }
-                    if !self.charge_tenant(&mut tc, p.pid.origin) {
-                        seen.remove(&p.pid);
-                        quota_hits += 1;
-                        return false;
-                    }
-                    true
-                });
-            }
-            if dups > 0 {
-                report.quarantined += dups;
-                self.stats.quarantined.fetch_add(dups, Ordering::Relaxed);
-                OBS_QUARANTINED.add(dups);
-            }
-            if quota_hits > 0 {
-                report.quota_rejected += quota_hits;
-                self.note_quota_rejected(quota_hits);
-            }
-            self.push_routed(routed, &mut report);
-            return report;
-        };
+        self.note_quarantined(report.quarantined);
+        let persist = self.persist.as_deref();
         let mut checkpoint_due = false;
         let mut probe_due = false;
         {
-            let mut ws = lock_or_recover(&persist.walstate);
-            // Dedup (and quota-charge) in order; a pid enters the set
-            // only in the same lock window as its journal decision,
-            // exactly as the per-record path guarantees.
-            let mut dups = 0u64;
-            let mut quota_hits = 0u64;
-            {
-                let mut tc = lock_or_recover(&self.tenant_counts);
-                let seen = &mut ws.seen;
-                routed.retain(|(_, p)| {
-                    if !seen.insert(p.pid) {
-                        dups += 1;
-                        return false;
-                    }
-                    if !self.charge_tenant(&mut tc, p.pid.origin) {
-                        seen.remove(&p.pid);
-                        quota_hits += 1;
-                        return false;
-                    }
-                    true
-                });
-            }
+            let mut adm = lock_or_recover(&self.admission);
+            let (dups, quota_hits) = self.dedup_and_charge(&mut adm.seen, &mut routed);
             if dups > 0 {
                 report.quarantined += dups;
-                self.stats.quarantined.fetch_add(dups, Ordering::Relaxed);
-                OBS_QUARANTINED.add(dups);
+                rejected = Some(TraceError::DuplicateId);
+                self.note_quarantined(dups);
             }
             if quota_hits > 0 {
                 report.quota_rejected += quota_hits;
-                self.note_quota_rejected(quota_hits);
+                self.quota_rejected.fetch_add(quota_hits, Ordering::Relaxed);
+                OBS_QUOTA_REJECTED.add(quota_hits);
             }
-            let mut unjournaled = 0u64;
-            // Records a per-record loop would have processed with
-            // durability already suspended: they drive the heal-probe
-            // cadence.
-            let mut probe_tail = 0u64;
-            if routed.is_empty() {
-                // Nothing survived sanitize + dedup.
-            } else if persist.durability_active() {
-                let mut frames: Vec<Vec<u8>> = Vec::with_capacity(routed.len());
-                // `routed` index behind each frame, and the routed
-                // indices of records the wire codec refused (accepted
-                // un-journaled, same as `ingest`).
-                let mut enc_pos: Vec<usize> = Vec::with_capacity(routed.len());
-                let mut unencodable: Vec<usize> = Vec::new();
-                for (i, (_, p)) in routed.iter().enumerate() {
-                    let mut frame = Vec::new();
-                    if wire::encode_packet(p, &mut frame).is_ok() {
-                        frames.push(frame);
-                        enc_pos.push(i);
-                    } else {
-                        unencodable.push(i);
-                    }
-                }
-                let out = ws.wal.append_batch(frames.iter().map(Vec::as_slice));
-                if out.appended > 0 {
-                    ws.appends_since_ckpt += out.appended as u64;
-                    checkpoint_due = ws.appends_since_ckpt >= persist.cfg.checkpoint_every.max(1);
-                }
-                match out.error {
-                    None => unjournaled = unencodable.len() as u64,
-                    Some(e) => {
-                        // Disk trouble degrades durability, not
-                        // service: the failing record and everything
-                        // behind it are accepted un-journaled, and the
-                        // tail counts toward the probe cadence just as
-                        // a per-record loop would count it.
-                        persist.note_store_error("wal append", &e);
-                        let failed_at = enc_pos[out.appended];
-                        let tail = (routed.len() - failed_at - 1) as u64;
-                        let before = unencodable.iter().filter(|&&i| i < failed_at).count() as u64;
-                        unjournaled = before + 1 + tail;
-                        if persist.health() == SinkHealth::Degraded {
-                            probe_tail = tail;
-                        }
-                    }
-                }
-                for &i in &enc_pos[..out.appended] {
-                    trace_stamp(routed[i].1.pid, TraceStage::WalAppend);
-                }
-            } else {
-                // Degraded (or dropped/failed) before the batch:
-                // everything is accepted un-journaled.
-                unjournaled = routed.len() as u64;
-                if persist.health() == SinkHealth::Degraded {
-                    probe_tail = routed.len() as u64;
-                }
+            if let Some(persist) = persist {
+                (checkpoint_due, probe_due) = journal_batch(persist, &mut adm, &routed);
             }
-            if unjournaled > 0 {
-                persist
-                    .unjournaled
-                    .fetch_add(unjournaled, Ordering::Relaxed);
-                OBS_UNJOURNALED.add(unjournaled);
-            }
-            if probe_tail > 0 {
-                let pe = persist.cfg.probe_every.max(1);
-                let n = persist.since_probe.fetch_add(probe_tail, Ordering::Relaxed) + probe_tail;
-                if n >= pe {
-                    // A per-record loop zeroes the counter at every
-                    // crossing; over `probe_tail` unit increments that
-                    // leaves exactly the modulus.
-                    persist.since_probe.store(n % pe, Ordering::Relaxed);
-                    probe_due = true;
-                }
-            }
-            // Pushes still happen under the same lock: per shard,
-            // journal order == queue order, the invariant every
-            // checkpoint cut relies on.
-            self.push_routed(routed, &mut report);
+            // Pushes happen under the same lock: per shard, journal
+            // order == queue order, the invariant every checkpoint cut
+            // relies on.
+            self.push_routed(routed, true, &mut report);
         }
-        if checkpoint_due {
-            self.maybe_checkpoint(&persist);
-        } else if probe_due {
-            self.try_heal(&persist);
+        if let Some(persist) = persist {
+            if checkpoint_due {
+                self.maybe_checkpoint(persist);
+            } else if probe_due {
+                self.try_heal(persist);
+            }
         }
-        report
+        (report, rejected)
+    }
+
+    /// Drops from `routed`, in order, every record whose pid is already
+    /// in the dedup set or whose tenant is at its quota, and charges
+    /// each survivor to its tenant; returns `(duplicates, quota
+    /// rejections)`. The dedup insert and the quota charge share one
+    /// lock window, so a rejection un-remembers its pid and leaves no
+    /// trace.
+    fn dedup_and_charge(
+        &self,
+        seen: &mut FastHashSet<PacketId>,
+        routed: &mut Vec<(usize, CollectedPacket)>,
+    ) -> (u64, u64) {
+        let mut dups = 0u64;
+        let mut quota_hits = 0u64;
+        let mut tc = lock_or_recover(&self.tenant_counts);
+        routed.retain(|(_, p)| {
+            if !seen.insert(p.pid) {
+                dups += 1;
+                return false;
+            }
+            let tenant = domo_cluster::tenant_of(p.pid.origin.index() as u16);
+            let count = tc.entry(tenant).or_insert(0);
+            if self.tenant_quota.is_some_and(|q| *count >= q) {
+                seen.remove(&p.pid);
+                quota_hits += 1;
+                return false;
+            }
+            *count += 1;
+            true
+        });
+        (dups, quota_hits)
+    }
+
+    /// Decodes journal records back into `(shard, packet)` pairs, in
+    /// journal order — recovery replay and watchdog restart. A record
+    /// that passed the WAL checksum but not the wire decoder is
+    /// counted and skipped: recovery never gives up on later records
+    /// for an earlier one.
+    fn route_journal(&self, records: &[(u64, Vec<u8>)]) -> Vec<(usize, CollectedPacket)> {
+        let mut routed = Vec::with_capacity(records.len());
+        for (lsn, payload) in records {
+            let root = wire::decode_packet(payload)
+                .ok()
+                .and_then(|(p, _)| Some((p.subtree_root()?, p)));
+            match root {
+                Some((root, p)) => routed.push((root.index() % self.shards.len(), p)),
+                None => {
+                    OBS_PERSIST_ERRORS.inc();
+                    domo_obs::warn!(
+                        target: "domo_sink::recovery",
+                        "wal record failed wire decode",
+                        lsn = *lsn,
+                    );
+                }
+            }
+        }
+        routed
     }
 
     /// Groups sanitized, deduplicated records by shard and pushes each
     /// group through [`Core::push_batch_to_shard`]. Only per-shard
     /// record order is preserved — the single order a shard worker can
     /// observe — so regrouping is invisible to reconstruction.
-    fn push_routed(&self, routed: Vec<(usize, CollectedPacket)>, report: &mut BatchIngestReport) {
+    fn push_routed(
+        &self,
+        routed: Vec<(usize, CollectedPacket)>,
+        bounded: bool,
+        report: &mut BatchIngestReport,
+    ) {
         let mut groups: Vec<Vec<CollectedPacket>> = Vec::new();
         groups.resize_with(self.shards.len(), Vec::new);
         for (shard, p) in routed {
             groups[shard].push(p);
         }
         for (shard, ps) in groups.into_iter().enumerate() {
-            self.push_batch_to_shard(shard, ps, report);
-        }
-    }
-
-    fn push_to_shard(&self, shard: usize, p: CollectedPacket) -> IngestOutcome {
-        let pid = p.pid;
-        // The inflight ledger is updated under the same lock window as
-        // the queue push, so a watchdog restart (which locks inflight
-        // before purging the queue) always sees a consistent pair.
-        let mut infl = lock_or_recover(&self.inflight[shard]);
-        match self.shards[shard].push_packet(p) {
-            PushOutcome::Queued => {
-                infl.insert(pid);
-                drop(infl);
-                trace_stamp(pid, TraceStage::ShardEnqueue);
-                self.stats.ingested.fetch_add(1, Ordering::Relaxed);
-                OBS_INGESTED.inc();
-                IngestOutcome::Accepted
-            }
-            PushOutcome::DroppedOldest(old) => {
-                infl.insert(pid);
-                infl.remove(&old);
-                drop(infl);
-                trace_stamp(pid, TraceStage::ShardEnqueue);
-                if self.persist.is_some() {
-                    // Remember the shed pid forever: a watchdog WAL
-                    // replay must reproduce the post-shed sequence.
-                    lock_or_recover(&self.dropped_pids).insert(old);
-                }
-                self.stats.ingested.fetch_add(1, Ordering::Relaxed);
-                OBS_INGESTED.inc();
-                self.stats
-                    .backpressure_dropped
-                    .fetch_add(1, Ordering::Relaxed);
-                OBS_BACKPRESSURE.inc();
-                IngestOutcome::AcceptedDroppingOldest
-            }
-            PushOutcome::Closed => IngestOutcome::Closed,
+            self.push_batch_to_shard(shard, ps, bounded, report);
         }
     }
 
     /// Pushes a run of same-shard records under one inflight-ledger
     /// lock and one queue lock, with a single worker wake-up at the
-    /// end. Record-for-record this mirrors a loop of
-    /// [`Core::push_to_shard`] — same eviction order (a batch larger
-    /// than the queue capacity evicts its own head), same ledger
-    /// insert/remove sequence — but the locks, the depth gauge, the
-    /// counters, and the condvar notify are all amortized over the
-    /// run. A shutdown cannot interleave mid-run: `closed` is checked
-    /// once because it can only flip under the queue lock we hold.
+    /// end. A saturated queue evicts its oldest *packet* per pushed
+    /// record (a batch larger than the capacity evicts its own head);
+    /// control messages keep their slot — losing a drain ack would
+    /// wedge the caller. `bounded: false` lifts the capacity bound for
+    /// recovery replay: backpressure exists to shed *live* load, and
+    /// records already acknowledged into the WAL must never be shed on
+    /// the way back in. A shutdown cannot interleave mid-run: `closed`
+    /// is checked once because it can only flip under the queue lock
+    /// we hold.
     fn push_batch_to_shard(
         &self,
         shard: usize,
         ps: Vec<CollectedPacket>,
+        bounded: bool,
         report: &mut BatchIngestReport,
     ) {
         if ps.is_empty() {
             return;
         }
         let q = &self.shards[shard];
+        let capacity = if bounded { q.capacity } else { usize::MAX };
         let mut evicted: Vec<PacketId> = Vec::new();
         let accepted;
         {
+            // The inflight ledger is updated under the same lock window
+            // as the queue push, so a watchdog restart (which locks
+            // inflight before purging the queue) always sees a
+            // consistent pair.
             let mut infl = lock_or_recover(&self.inflight[shard]);
             let mut st = lock_or_recover(&q.state);
             if st.closed {
@@ -1459,7 +1316,7 @@ impl Core {
             accepted = ps.len() as u64;
             for p in ps {
                 let mut old_pid = None;
-                if st.queued_packets >= q.capacity {
+                if st.queued_packets >= capacity {
                     if let Some(at) = st
                         .msgs
                         .iter()
@@ -1498,6 +1355,8 @@ impl Core {
             report.saturated += shed;
             domo_obs::flight!("backpressure_shed", shard = shard as u64, count = shed);
             if self.persist.is_some() {
+                // Remember the shed pids forever: a watchdog WAL
+                // replay must reproduce the post-shed sequence.
                 lock_or_recover(&self.dropped_pids).extend(evicted);
             }
         }
@@ -1588,7 +1447,7 @@ impl Core {
 
     /// The checkpoint protocol. Caller holds `ckpt_guard`.
     ///
-    /// Phase 1 takes the WAL lock, syncs, fixes the cut `C`, captures
+    /// Phase 1 takes the admission lock, syncs, fixes the cut `C`, captures
     /// the dedup set and counters, and enqueues a snapshot barrier on
     /// every shard — all before any further append can interleave, so
     /// everything captured corresponds exactly to records with
@@ -1608,20 +1467,15 @@ impl Core {
             ));
         }
         let (cut, seen, counters, barriers) = {
-            let mut ws = lock_or_recover(&persist.walstate);
-            ws.wal.sync()?;
-            let cut = ws.wal.next_lsn();
-            let seen: Vec<PacketId> = ws.seen.iter().copied().collect();
-            let s = self.stats.snapshot();
-            let counters = [
-                s.ingested,
-                s.emitted,
-                s.quarantined,
-                s.malformed_frames,
-                s.backpressure_dropped,
-                s.estimator_errors,
-                s.watchdog_dropped,
-            ];
+            let mut adm = lock_or_recover(&self.admission);
+            let wal = adm.journal()?;
+            wal.sync()?;
+            let cut = wal.next_lsn();
+            let seen: Vec<PacketId> = adm.seen.iter().copied().collect();
+            let counters = self
+                .stats
+                .checkpointed()
+                .map(|cell| cell.load(Ordering::Relaxed));
             let mut barriers = Vec::with_capacity(self.shards.len());
             for (shard, q) in self.shards.iter().enumerate() {
                 let (snap_tx, snap_rx) = std::sync::mpsc::sync_channel(1);
@@ -1630,7 +1484,7 @@ impl Core {
                     barriers.push((shard, snap_rx, rel_tx));
                 }
             }
-            ws.appends_since_ckpt = 0;
+            adm.appends_since_ckpt = 0;
             (cut, seen, counters, barriers)
         };
 
@@ -1727,7 +1581,9 @@ impl Core {
         // with `records_from(cut)`, so the cut must never run ahead of
         // the snapshots or behind the compaction floor.
         *lock_or_recover(&self.last_ckpt) = (cut, snaps_for_restart);
-        lock_or_recover(&persist.walstate).wal.compact_upto(cut)?;
+        lock_or_recover(&self.admission)
+            .journal()?
+            .compact_upto(cut)?;
         persist.last_checkpoint_lsn.store(cut, Ordering::Relaxed);
         OBS_CHECKPOINTS.inc();
         persist.mark_healed();
@@ -1767,7 +1623,10 @@ impl Core {
             if persist.health() != SinkHealth::Healthy {
                 return; // nothing to promise; the store is suspect
             }
-            if let Err(e) = lock_or_recover(&persist.walstate).wal.sync() {
+            let synced = lock_or_recover(&self.admission)
+                .journal()
+                .and_then(Wal::sync);
+            if let Err(e) = synced {
                 persist.note_store_error("final wal sync", &e);
             }
             if let Err(e) = lock_or_recover(&persist.results).store.sync() {
@@ -1870,18 +1729,15 @@ impl SinkService {
         });
 
         // Recover durable state before any worker runs.
-        let recovered = match &cfg.store {
-            Some(sc) => Some(Recovered::load(sc, shards, &stats, &store, &cfg)?),
-            None => None,
-        };
-        let (persist, covered, mut initial, tail) = match recovered {
-            Some(r) => (
-                Some(r.persistence),
-                r.covered,
-                r.shard_snapshots,
-                r.tail_records,
-            ),
-            None => (None, 0, (0..shards).map(|_| None).collect(), Vec::new()),
+        let Recovered {
+            persistence: persist,
+            admission,
+            covered,
+            shard_snapshots: mut initial,
+            tail_records: tail,
+        } = match &cfg.store {
+            Some(sc) => Recovered::load(sc, shards, &stats, &store, &cfg)?,
+            None => Recovered::volatile(shards),
         };
 
         // Seed per-tenant accounting from the recovered dedup set:
@@ -1889,13 +1745,10 @@ impl SinkService {
         // and therefore quota enforcement — survive restarts without
         // any new on-disk state.
         let mut tenant_counts: BTreeMap<u16, u64> = BTreeMap::new();
-        if let Some(p) = &persist {
-            let ws = lock_or_recover(&p.walstate);
-            for pid in ws.seen.iter() {
-                *tenant_counts
-                    .entry(domo_cluster::tenant_of(pid.origin.index() as u16))
-                    .or_insert(0) += 1;
-            }
+        for pid in &admission.seen {
+            *tenant_counts
+                .entry(domo_cluster::tenant_of(pid.origin.index() as u16))
+                .or_insert(0) += 1;
         }
 
         let queues: Vec<Arc<ShardQueue>> = (0..shards)
@@ -1906,7 +1759,7 @@ impl SinkService {
             workers: Mutex::new((0..shards).map(|_| None).collect()),
             stats,
             store,
-            seen: Mutex::new(FastHashSet::default()),
+            admission: Mutex::new(admission),
             sanitize: cfg.sanitize,
             est_cfg: cfg.estimator.clone(),
             high_water: cfg.high_water,
@@ -1955,41 +1808,16 @@ impl SinkService {
         Ok(service)
     }
 
-    /// Pushes the recovered WAL tail through the shards, in WAL order,
-    /// bypassing both dedup (the WAL never holds duplicate pids) and
-    /// the queue capacity (acknowledged records are never shed).
+    /// Pushes the recovered WAL tail through the shards, in WAL order
+    /// per shard, bypassing both dedup (the WAL never holds duplicate
+    /// pids) and the queue capacity (acknowledged records are never
+    /// shed).
     fn replay_wal_tail(&self, tail: Vec<(u64, Vec<u8>)>) {
         let core = &self.core;
-        let mut replayed = 0u64;
-        for (lsn, payload) in &tail {
-            let Ok((p, _)) = wire::decode_packet(payload) else {
-                // The record passed the WAL checksum but not the wire
-                // decoder: count it, keep going — recovery never gives
-                // up on later records for an earlier one.
-                OBS_PERSIST_ERRORS.inc();
-                domo_obs::warn!(
-                    target: "domo_sink::recovery",
-                    "wal record failed wire decode",
-                    lsn = *lsn,
-                );
-                continue;
-            };
-            let Some(root) = p.subtree_root() else {
-                OBS_PERSIST_ERRORS.inc();
-                continue;
-            };
-            let shard = root.index() % core.shards.len();
-            let pid = p.pid;
-            let mut infl = lock_or_recover(&core.inflight[shard]);
-            if core.shards[shard].push_packet_unbounded(p) {
-                infl.insert(pid);
-                drop(infl);
-                replayed += 1;
-                core.stats.ingested.fetch_add(1, Ordering::Relaxed);
-                OBS_INGESTED.inc();
-                OBS_REPLAYED.inc();
-            }
-        }
+        let mut pushed = BatchIngestReport::default();
+        core.push_routed(core.route_journal(&tail), false, &mut pushed);
+        let replayed = pushed.accepted;
+        OBS_REPLAYED.add(replayed);
         if let Some(persist) = &core.persist {
             let mut report = lock_or_recover(&persist.recovery);
             report.replayed = replayed;
@@ -2073,46 +1901,45 @@ impl SinkService {
     }
 
     /// Validates, deduplicates, journals (when durability is on), and
-    /// routes one record.
+    /// routes one record: [`SinkService::ingest_batch`] with a batch
+    /// of one, the single outcome read off the one-record report.
+    /// There is no separate per-record path — the record leaves the
+    /// journal bytes, counters and trace stamps it would leave as a
+    /// member of any larger batch.
     pub fn ingest(&self, p: CollectedPacket) -> IngestOutcome {
-        self.core.ingest(p)
+        let (report, rejected) = self.core.admit(vec![p]);
+        if let Some(reason) = rejected {
+            IngestOutcome::Quarantined(reason)
+        } else if report.quota_rejected > 0 {
+            IngestOutcome::QuotaRejected
+        } else if report.closed > 0 {
+            IngestOutcome::Closed
+        } else if report.saturated > 0 {
+            IngestOutcome::AcceptedDroppingOldest
+        } else {
+            IngestOutcome::Accepted
+        }
     }
 
     /// Validates, deduplicates, journals, and routes a whole batch of
-    /// records with the ingest-order lock taken **once**: dedup, a
-    /// single multi-record WAL append, and every in-order shard push
-    /// are amortized over the batch. Record-level outcomes, journal
-    /// bytes, and queue order are identical to calling
-    /// [`SinkService::ingest`] once per record; checkpoint and
-    /// heal-probe triggers are evaluated at the batch boundary (the
-    /// batch is the scheduling quantum for those background
-    /// transitions). This is the path the TCP reactor feeds with every
-    /// complete frame of each socket read.
+    /// records with the admission lock taken **once**: dedup, a single
+    /// multi-record WAL append, and every in-order shard push are
+    /// amortized over the batch. This is the service's only admission
+    /// path, and it is *partition invariant*: however a record
+    /// sequence is cut into calls (down to the batches of one
+    /// [`SinkService::ingest`] submits), record-level outcomes, journal
+    /// bytes, accounting and per-shard queue order are the same; only
+    /// the checkpoint and heal-probe triggers, evaluated at the batch
+    /// boundary, see the cut. The TCP reactor feeds it every complete
+    /// frame of each socket read.
     pub fn ingest_batch(&self, packets: &[CollectedPacket]) -> BatchIngestReport {
-        self.core.ingest_batch(packets.to_vec())
+        self.core.admit(packets.to_vec()).0
     }
 
     /// [`SinkService::ingest_batch`] taking ownership of the batch —
     /// the allocation-free variant the reactor and benches use.
     pub fn ingest_batch_owned(&self, packets: Vec<CollectedPacket>) -> BatchIngestReport {
-        self.core.ingest_batch(packets)
-    }
-
-    /// Decodes the frame at the start of `buf` and ingests it, returning
-    /// the record's fate and the bytes consumed.
-    ///
-    /// # Errors
-    ///
-    /// The [`WireError`] of a structurally invalid frame (counted as
-    /// `malformed_frames`).
-    pub fn ingest_frame(&self, buf: &[u8]) -> Result<(IngestOutcome, usize), WireError> {
-        match wire::decode_packet(buf) {
-            Ok((p, used)) => Ok((self.core.ingest(p), used)),
-            Err(e) => {
-                self.note_malformed_frame();
-                Err(e)
-            }
-        }
+        self.core.admit(packets).0
     }
 
     /// Counts a frame the transport layer failed to decode (used by the
@@ -2209,22 +2036,21 @@ impl SinkService {
 
     /// Durability status, or `None` when the service runs in-memory.
     pub fn store_status(&self) -> Option<StoreStatus> {
-        self.core.persist.as_ref().map(|p| {
-            let (wal, dedup_pids) = {
-                let ws = lock_or_recover(&p.walstate);
-                (ws.wal.stats(), ws.seen.len())
-            };
-            let results = lock_or_recover(&p.results).store.stats();
-            StoreStatus {
-                data_dir: p.cfg.data_dir.clone(),
-                fsync: p.cfg.fsync,
-                wal,
-                results,
-                last_checkpoint_lsn: p.last_checkpoint_lsn.load(Ordering::Relaxed),
-                checkpoints_on_disk: p.checkpoints.count().unwrap_or(0),
-                dedup_pids,
-                recovery: *lock_or_recover(&p.recovery),
-            }
+        let p = self.core.persist.as_ref()?;
+        let (wal, dedup_pids) = {
+            let adm = lock_or_recover(&self.core.admission);
+            (adm.wal.as_ref()?.stats(), adm.seen.len())
+        };
+        let results = lock_or_recover(&p.results).store.stats();
+        Some(StoreStatus {
+            data_dir: p.cfg.data_dir.clone(),
+            fsync: p.cfg.fsync,
+            wal,
+            results,
+            last_checkpoint_lsn: p.last_checkpoint_lsn.load(Ordering::Relaxed),
+            checkpoints_on_disk: p.checkpoints.count().unwrap_or(0),
+            dedup_pids,
+            recovery: *lock_or_recover(&p.recovery),
         })
     }
 
@@ -2790,11 +2616,11 @@ fn restart_shard(core: &Arc<Core>, shard: usize) {
     if let Some(h) = lock_or_recover(&core.workers)[shard].take() {
         let _ = h.join();
     }
-    // Freeze checkpoints and (durable) ingest while state is rebuilt;
-    // lock order matches ingest: ckpt_guard → walstate → inflight.
+    // Freeze checkpoints and admission while state is rebuilt; lock
+    // order matches ingest: ckpt_guard → admission → inflight.
     let persist = core.persist.as_deref();
     let _ckpt_guard = persist.map(|p| lock_or_recover(&p.ckpt_guard));
-    let ws_guard = persist.map(|p| lock_or_recover(&p.walstate));
+    let adm = lock_or_recover(&core.admission);
     let mut infl = lock_or_recover(&core.inflight[shard]);
     if core.closing.load(Ordering::Relaxed) {
         return;
@@ -2812,24 +2638,12 @@ fn restart_shard(core: &Arc<Core>, shard: usize) {
         .flat_map(|s| s.buffer.iter().map(|p| p.pid))
         .collect();
     let mut requeue: Vec<CollectedPacket> = Vec::new();
-    if let (Some(p), Some(ws)) = (persist, ws_guard.as_ref()) {
-        match ws.wal.records_from(cut) {
+    if let (Some(p), Some(wal)) = (persist, adm.wal.as_ref()) {
+        match wal.records_from(cut) {
             Ok(records) => {
                 let dropped = lock_or_recover(&core.dropped_pids);
-                for (_lsn, payload) in &records {
-                    let Ok((pkt, _)) = wire::decode_packet(payload) else {
-                        continue;
-                    };
-                    let Some(root) = pkt.subtree_root() else {
-                        continue;
-                    };
-                    if root.index() % core.shards.len() != shard {
-                        continue;
-                    }
-                    if dropped.contains(&pkt.pid) {
-                        continue;
-                    }
-                    if covered.insert(pkt.pid) {
+                for (owner, pkt) in core.route_journal(&records) {
+                    if owner == shard && !dropped.contains(&pkt.pid) && covered.insert(pkt.pid) {
                         requeue.push(pkt);
                     }
                 }
@@ -2890,7 +2704,7 @@ fn restart_shard(core: &Arc<Core>, shard: usize) {
         let _ = domo_obs::flight_dump(&p.cfg.data_dir);
     }
     drop(infl);
-    drop(ws_guard);
+    drop(adm);
     spawn_worker(core, shard, snap);
 }
 
@@ -3070,14 +2884,17 @@ mod tests {
     fn frames_feed_the_service_and_bad_frames_are_counted() {
         let trace = run_simulation(&NetworkConfig::small(9, 914));
         let service = SinkService::start(SinkConfig::default());
+        // What a transport does with a byte stream: every decoded
+        // frame is ingested, a frame that fails decode is counted.
         let bytes = wire::encode_packets(&trace.packets).expect("encodes");
         let mut at = 0;
         while at < bytes.len() {
-            let (outcome, used) = service.ingest_frame(&bytes[at..]).expect("clean frames");
-            assert!(matches!(outcome, IngestOutcome::Accepted));
+            let (p, used) = wire::decode_packet(&bytes[at..]).expect("clean frames");
+            assert!(matches!(service.ingest(p), IngestOutcome::Accepted));
             at += used;
         }
-        assert!(service.ingest_frame(&[0x99, 0x01, 0x00]).is_err());
+        assert!(wire::decode_packet(&[0x99, 0x01, 0x00]).is_err());
+        service.note_malformed_frame();
         service.drain();
         let stats = service.stats();
         assert_eq!(stats.ingested, trace.packets.len() as u64);

@@ -213,22 +213,24 @@ pub fn encoded_len(p: &CollectedPacket) -> usize {
     HEADER_LEN + FIXED_PAYLOAD + 2 * p.path.len() + CHECKSUM_LEN
 }
 
-/// Appends one record as a frame.
-///
-/// # Errors
-///
-/// [`WireError::PathTooLong`] when the record's path exceeds
-/// [`MAX_PATH_NODES`]; nothing is written in that case.
-pub fn encode_packet(p: &CollectedPacket, out: &mut Vec<u8>) -> Result<(), WireError> {
-    if p.path.len() > MAX_PATH_NODES {
-        return Err(WireError::PathTooLong { len: p.path.len() });
-    }
-    let payload_len = FIXED_PAYLOAD + 2 * p.path.len();
+/// Writes one frame: header, the 2-byte tenant prefix when the version
+/// carries one, the record, and the checksum over everything before it.
+/// Callers have already validated the path length and the tenant.
+fn write_frame(p: &CollectedPacket, tenant: Option<u16>, out: &mut Vec<u8>) {
+    let version = if tenant.is_some() {
+        VERSION_TENANT
+    } else {
+        VERSION
+    };
+    let payload_len = tenant_prefix(version) + FIXED_PAYLOAD + 2 * p.path.len();
     let start = out.len();
     out.reserve(HEADER_LEN + payload_len + CHECKSUM_LEN);
     out.push(MAGIC);
-    out.push(VERSION);
+    out.push(version);
     out.extend_from_slice(&(payload_len as u16).to_le_bytes());
+    if let Some(tenant) = tenant {
+        out.extend_from_slice(&tenant.to_le_bytes());
+    }
     out.extend_from_slice(&(p.pid.origin.index() as u16).to_le_bytes());
     out.extend_from_slice(&p.pid.seq.to_le_bytes());
     out.extend_from_slice(&p.gen_time.as_micros().to_le_bytes());
@@ -241,6 +243,19 @@ pub fn encode_packet(p: &CollectedPacket, out: &mut Vec<u8>) -> Result<(), WireE
     }
     let checksum = fnv1a32(&out[start..]);
     out.extend_from_slice(&checksum.to_le_bytes());
+}
+
+/// Appends one record as a frame.
+///
+/// # Errors
+///
+/// [`WireError::PathTooLong`] when the record's path exceeds
+/// [`MAX_PATH_NODES`]; nothing is written in that case.
+pub fn encode_packet(p: &CollectedPacket, out: &mut Vec<u8>) -> Result<(), WireError> {
+    if p.path.len() > MAX_PATH_NODES {
+        return Err(WireError::PathTooLong { len: p.path.len() });
+    }
+    write_frame(p, None, out);
     Ok(())
 }
 
@@ -268,25 +283,7 @@ pub fn encode_packet_v2(
             return Err(WireError::InvalidTenant { tenant, local });
         }
     }
-    let payload_len = 2 + FIXED_PAYLOAD + 2 * p.path.len();
-    let start = out.len();
-    out.reserve(HEADER_LEN + payload_len + CHECKSUM_LEN);
-    out.push(MAGIC);
-    out.push(VERSION_TENANT);
-    out.extend_from_slice(&(payload_len as u16).to_le_bytes());
-    out.extend_from_slice(&tenant.to_le_bytes());
-    out.extend_from_slice(&(p.pid.origin.index() as u16).to_le_bytes());
-    out.extend_from_slice(&p.pid.seq.to_le_bytes());
-    out.extend_from_slice(&p.gen_time.as_micros().to_le_bytes());
-    out.extend_from_slice(&p.sink_arrival.as_micros().to_le_bytes());
-    out.extend_from_slice(&p.sum_of_delays_ms.to_le_bytes());
-    out.extend_from_slice(&p.e2e_ms.to_le_bytes());
-    out.extend_from_slice(&(p.path.len() as u16).to_le_bytes());
-    for n in &p.path {
-        out.extend_from_slice(&(n.index() as u16).to_le_bytes());
-    }
-    let checksum = fnv1a32(&out[start..]);
-    out.extend_from_slice(&checksum.to_le_bytes());
+    write_frame(p, Some(tenant), out);
     Ok(())
 }
 

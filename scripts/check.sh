@@ -13,6 +13,13 @@
 #   3. tests             release build, the facade crate's test binaries
 #                        (tier-1), then every member crate's unit and
 #                        doc tests
+#   3b. benchmark build  benchmark/ (its own workspace, a path
+#                        dependency on the facade) builds offline and
+#                        its unit tests pass, so a facade API change
+#                        that breaks the benchmark fails here and not
+#                        as a failed benchmark run; nothing under
+#                        benchmark/ is edited, the root target/ is
+#                        shared
 #   4. e2e smoke         domo-sink serve/replay/query over loopback TCP
 #                        (exits nonzero unless every delivered packet is
 #                        reconstructed and garbage frames are counted),
@@ -106,6 +113,10 @@ cargo test -q
 # inside the member crates (the differential tests of the linear
 # algebra, the solver, the sketches, …) run here.
 cargo test --workspace -q
+
+echo "==> benchmark/ builds offline against the facade, unit tests pass"
+CARGO_TARGET_DIR="$PWD/target" cargo build --release --offline --manifest-path benchmark/Cargo.toml
+CARGO_TARGET_DIR="$PWD/target" cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
 
 echo "==> domo-sink smoke (end-to-end over loopback TCP)"
 ./target/release/domo-sink smoke --nodes 9 --seed 7

@@ -1,17 +1,17 @@
-//! Property: batched ingest is observationally identical to per-packet
-//! ingest. For *any* partition of a workload into batches,
-//! `ingest_batch` must produce bit-identical reconstructions, equal
-//! accounting, the same journal bytes, and the same dedup set as a
-//! loop of `ingest` calls over the same records — including duplicate
-//! pids that straddle batch boundaries and a durability failure that
-//! lands mid-batch.
+//! Property: admission is partition invariant. The sink has one
+//! admission path (`ingest_batch`; `ingest` is a batch of one), and
+//! for *any* partition of a workload into calls it must produce
+//! bit-identical reconstructions, equal accounting, the same journal
+//! bytes, and the same dedup set as the whole workload submitted as
+//! one batch — including duplicate pids that straddle batch boundaries
+//! and a durability failure that lands mid-batch.
 //!
 //! The workload is a simulated trace concatenated with itself, so
 //! every run carries one duplicate of every pid; the partitions below
-//! put the duplicate in the same batch as the original (whole-trace
-//! batch), in a different batch (halves, random sizes), and in its own
-//! batch (singletons — the degenerate case where batching and the
-//! per-record path coincide).
+//! put the duplicate in the same batch as the original (the whole-trace
+//! reference), in a different batch (halves, random sizes), and in its
+//! own call (singletons, driven through the public per-record `ingest`
+//! so that entry point stays covered).
 
 use domo::net::{run_simulation, CollectedPacket, NetworkConfig, PacketId};
 use domo::sink::service::{SinkConfig, SinkService, SinkStatsSnapshot};
@@ -29,10 +29,11 @@ fn workload() -> (Vec<CollectedPacket>, Vec<PacketId>) {
     (w, pids)
 }
 
-/// Batch-size sequences, each summing to `n`: one batch, halves,
-/// singletons, and four seeded random partitions.
+/// Batch-size sequences, each summing to `n`: halves, singletons, and
+/// four seeded random partitions (the one-batch partition is the
+/// reference they are all compared against).
 fn partitions(n: usize) -> Vec<Vec<usize>> {
-    let mut parts = vec![vec![n], vec![n / 2, n - n / 2], vec![1; n]];
+    let mut parts = vec![vec![n / 2, n - n / 2], vec![1; n]];
     let mut rng = Xoshiro256pp::seed_from_u64(0xD0B0);
     for _ in 0..4 {
         let mut sizes = Vec::new();
@@ -47,24 +48,38 @@ fn partitions(n: usize) -> Vec<Vec<usize>> {
     parts
 }
 
-/// Feeds `w` to `service` — per-record when `sizes` is `None`, else in
-/// batches of the given sizes.
-fn feed(service: &SinkService, w: &[CollectedPacket], sizes: Option<&[usize]>) {
-    match sizes {
-        None => {
-            for p in w {
-                service.ingest(p.clone());
-            }
+/// Feeds `w` to `service` in calls of the given sizes; a call of one
+/// record goes through `ingest`.
+fn feed(service: &SinkService, w: &[CollectedPacket], sizes: &[usize]) {
+    let mut off = 0;
+    for &s in sizes {
+        if s == 1 {
+            service.ingest(w[off].clone());
+        } else {
+            service.ingest_batch(&w[off..off + s]);
         }
-        Some(sizes) => {
-            let mut off = 0;
-            for &s in sizes {
-                service.ingest_batch(&w[off..off + s]);
-                off += s;
-            }
-            assert_eq!(off, w.len(), "partition does not cover the workload");
-        }
+        off += s;
     }
+    assert_eq!(off, w.len(), "partition does not cover the workload");
+}
+
+/// Runs `observe` on the whole-workload batch (tag `ref`) and on every
+/// partition, and requires each partition's observation to equal the
+/// reference's, which is returned for the caller's sanity checks.
+fn assert_partition_invariant<T: PartialEq + std::fmt::Debug>(
+    n: usize,
+    observe: impl Fn(&str, &[usize]) -> T,
+) -> T {
+    let reference = observe("ref", &[n]);
+    for (i, sizes) in partitions(n).into_iter().enumerate() {
+        assert_eq!(
+            observe(&format!("part{i}"), &sizes),
+            reference,
+            "partition {i} ({:?}…) diverged from the one-batch reference",
+            &sizes[..sizes.len().min(8)]
+        );
+    }
+    reference
 }
 
 /// One packet's reconstruction as exact hop-time bit patterns plus
@@ -108,59 +123,10 @@ fn dir_bytes(dir: &Path) -> Vec<(String, Vec<u8>)> {
     out
 }
 
-#[test]
-fn any_partition_matches_per_packet_ingest_volatile() {
-    let (w, pids) = workload();
-    let cfg = || SinkConfig {
-        shards: 2,
-        queue_capacity: 1 << 20,
-        max_retained_packets: 1 << 20,
-        ..SinkConfig::default()
-    };
-
-    let run = |sizes: Option<&[usize]>| -> (SinkStatsSnapshot, Vec<ReconBits>) {
-        let service = SinkService::start(cfg());
-        feed(&service, &w, sizes);
-        service.drain();
-        let stats = service.stats();
-        let recon = reconstructions(&service, &pids);
-        service.shutdown();
-        (stats, recon)
-    };
-
-    let (ref_stats, ref_recon) = run(None);
-    assert_eq!(ref_stats.ingested, pids.len() as u64, "dups must dedup");
-    assert_eq!(ref_stats.quarantined, pids.len() as u64, "one dup per pid");
-    assert_eq!(
-        ref_stats.backpressure_dropped, 0,
-        "queue bound must not bite"
-    );
-    assert!(
-        ref_recon.iter().any(Option::is_some),
-        "nothing reconstructed"
-    );
-
-    for sizes in partitions(w.len()) {
-        let (stats, recon) = run(Some(&sizes));
-        assert_eq!(
-            stats,
-            ref_stats,
-            "stats diverged for partition {:?}…",
-            &sizes[..sizes.len().min(8)]
-        );
-        assert_eq!(
-            recon,
-            ref_recon,
-            "reconstructions diverged for partition {:?}…",
-            &sizes[..sizes.len().min(8)]
-        );
-    }
-}
-
-#[test]
-fn any_partition_writes_identical_journal_bytes() {
-    let (w, pids) = workload();
-    let durable_cfg = |dir: &Path| SinkConfig {
+/// A one-shard durable configuration whose only journal writes are the
+/// admission appends: no fsyncs, no automatic checkpoints or probes.
+fn durable_cfg(dir: &Path, faults: Option<FaultPlan>) -> SinkConfig {
+    SinkConfig {
         shards: 1,
         queue_capacity: 1 << 20,
         max_retained_packets: 1 << 20,
@@ -168,16 +134,43 @@ fn any_partition_writes_identical_journal_bytes() {
             fsync: FsyncPolicy::Never,
             checkpoint_every: u64::MAX,
             probe_every: u64::MAX,
+            faults,
             ..StoreConfig::at(dir)
         }),
         ..SinkConfig::default()
-    };
+    }
+}
 
-    let run = |tag: &str,
-               sizes: Option<&[usize]>|
-     -> (SinkStatsSnapshot, usize, Vec<(String, Vec<u8>)>) {
+#[test]
+fn any_partition_matches_per_packet_ingest_volatile() {
+    let (w, pids) = workload();
+    let (stats, recon): (SinkStatsSnapshot, Vec<ReconBits>) =
+        assert_partition_invariant(w.len(), |_, sizes| {
+            let service = SinkService::start(SinkConfig {
+                shards: 2,
+                queue_capacity: 1 << 20,
+                max_retained_packets: 1 << 20,
+                ..SinkConfig::default()
+            });
+            feed(&service, &w, sizes);
+            service.drain();
+            let observed = (service.stats(), reconstructions(&service, &pids));
+            service.shutdown();
+            observed
+        });
+    assert_eq!(stats.ingested, pids.len() as u64, "dups must dedup");
+    assert_eq!(stats.quarantined, pids.len() as u64, "one dup per pid");
+    assert_eq!(stats.backpressure_dropped, 0, "queue bound must not bite");
+    assert!(recon.iter().any(Option::is_some), "nothing reconstructed");
+}
+
+#[test]
+fn any_partition_writes_identical_journal_bytes() {
+    let (w, pids) = workload();
+    // Observed per run: stats, dedup-set size, journal files.
+    let (_stats, dedup, wal) = assert_partition_invariant(w.len(), |tag, sizes| {
         let dir = scratch_root(tag);
-        let service = SinkService::open(durable_cfg(&dir)).expect("open durable sink");
+        let service = SinkService::open(durable_cfg(&dir, None)).expect("open durable sink");
         feed(&service, &w, sizes);
         service.drain();
         let stats = service.stats();
@@ -186,26 +179,12 @@ fn any_partition_writes_identical_journal_bytes() {
         let wal = dir_bytes(&dir.join("wal"));
         let _ = std::fs::remove_dir_all(&dir);
         (stats, dedup, wal)
-    };
-
-    let (ref_stats, ref_dedup, ref_wal) = run("ref", None);
-    assert_eq!(
-        ref_dedup,
-        pids.len(),
-        "journal dedup set holds each pid once"
-    );
+    });
+    assert_eq!(dedup, pids.len(), "journal dedup set holds each pid once");
     assert!(
-        ref_wal.iter().map(|(_, b)| b.len()).sum::<usize>() > 0,
+        wal.iter().map(|(_, b)| b.len()).sum::<usize>() > 0,
         "empty journal"
     );
-
-    for (i, sizes) in partitions(w.len()).into_iter().enumerate() {
-        let tag = format!("part{i}");
-        let (stats, dedup, wal) = run(&tag, Some(&sizes));
-        assert_eq!(stats, ref_stats, "stats diverged for partition {i}");
-        assert_eq!(dedup, ref_dedup, "dedup set diverged for partition {i}");
-        assert_eq!(wal, ref_wal, "journal bytes diverged for partition {i}");
-    }
 }
 
 #[test]
@@ -217,32 +196,21 @@ fn mid_batch_store_failure_matches_per_packet_semantics() {
     // high-water keeps result appends out of the ingest window, so the
     // fault-op sequence is exactly the WAL appends and deterministic
     // across runs.
-    let failing_cfg = |dir: &Path| SinkConfig {
-        shards: 1,
-        queue_capacity: 1 << 20,
-        max_retained_packets: 1 << 20,
-        high_water: Some(1 << 20),
-        store: Some(StoreConfig {
-            fsync: FsyncPolicy::Never,
-            checkpoint_every: u64::MAX,
-            probe_every: u64::MAX,
-            faults: Some(FaultPlan {
-                eio: 1.0,
-                fsync: 1.0,
-                after_ops: 24,
-                for_ops: 0, // forever: degraded for the rest of the run
-                ..FaultPlan::default()
-            }),
-            ..StoreConfig::at(dir)
-        }),
-        ..SinkConfig::default()
+    let faults = FaultPlan {
+        eio: 1.0,
+        fsync: 1.0,
+        after_ops: 24,
+        for_ops: 0, // forever: degraded for the rest of the run
+        ..FaultPlan::default()
     };
-
-    let run = |tag: &str,
-               sizes: Option<&[usize]>|
-     -> (SinkStatsSnapshot, u64, Vec<(String, Vec<u8>)>) {
-        let dir = scratch_root(tag);
-        let service = SinkService::open(failing_cfg(&dir)).expect("fault window starts post-open");
+    // Observed per run: stats, un-journaled ledger, journaled prefix.
+    let (stats, unjournaled, _wal) = assert_partition_invariant(w.len(), |tag, sizes| {
+        let dir = scratch_root(&format!("fault-{tag}"));
+        let service = SinkService::open(SinkConfig {
+            high_water: Some(1 << 20),
+            ..durable_cfg(&dir, Some(faults))
+        })
+        .expect("fault window starts post-open");
         feed(&service, &w, sizes);
         // Capture the degradation ledger before drain: the flush that
         // drain triggers fails too (backlogging results), but that is
@@ -254,28 +222,15 @@ fn mid_batch_store_failure_matches_per_packet_semantics() {
         let wal = dir_bytes(&dir.join("wal"));
         let _ = std::fs::remove_dir_all(&dir);
         (stats, unjournaled, wal)
-    };
-
-    let (ref_stats, ref_unjournaled, ref_wal) = run("fault-ref", None);
+    });
     assert_eq!(
-        ref_stats.ingested,
+        stats.ingested,
         pids.len() as u64,
         "degradation must not reject"
     );
     assert!(
-        ref_unjournaled > 0 && ref_unjournaled < pids.len() as u64,
-        "failure must land mid-stream: {ref_unjournaled} of {}",
+        unjournaled > 0 && unjournaled < pids.len() as u64,
+        "failure must land mid-stream: {unjournaled} of {}",
         pids.len()
     );
-
-    for (i, sizes) in partitions(w.len()).into_iter().enumerate() {
-        let tag = format!("fault{i}");
-        let (stats, unjournaled, wal) = run(&tag, Some(&sizes));
-        assert_eq!(stats, ref_stats, "stats diverged for partition {i}");
-        assert_eq!(
-            unjournaled, ref_unjournaled,
-            "degraded-mode ledger diverged for partition {i}"
-        );
-        assert_eq!(wal, ref_wal, "journaled prefix diverged for partition {i}");
-    }
 }
