@@ -446,7 +446,7 @@ fn solve_pair(
     local.add_boxes(&mut rows, intervals);
     for &ri in row_ids {
         let row = &system.rows[ri];
-        match crate::constraints::restrict_row_to(row, in_set, intervals) {
+        match crate::constraints::restrict_row_to(row, |v| in_set[v], intervals) {
             crate::constraints::RowRestriction::Inside => local.add_row(&mut rows, row),
             crate::constraints::RowRestriction::Relaxed(new_row) => {
                 local.add_row(&mut rows, &new_row)
@@ -642,8 +642,8 @@ mod tests {
             lb: vec![0.0, 10.0],
             ub: vec![100.0, 20.0],
         };
-        let in_set = vec![true, false];
-        match restrict_row_to(&row, &in_set, &intervals) {
+        let in_set = [true, false];
+        match restrict_row_to(&row, |v| in_set[v], &intervals) {
             RowRestriction::Relaxed(r) => {
                 // x0 ∈ [1 + x1, 2 + x1] ⊆ [11, 22].
                 assert_eq!(r.expr.terms(), vec![(0, 1.0)]);
@@ -668,11 +668,11 @@ mod tests {
             ub: vec![1.0],
         };
         assert!(matches!(
-            restrict_row_to(&row, &[true], &intervals),
+            restrict_row_to(&row, |_| true, &intervals),
             RowRestriction::Inside
         ));
         assert!(matches!(
-            restrict_row_to(&row, &[false], &intervals),
+            restrict_row_to(&row, |_| false, &intervals),
             RowRestriction::Vacuous
         ));
     }

@@ -105,18 +105,6 @@ impl ConstraintSystem {
     pub fn count(&self, kind: ConstraintKind) -> usize {
         self.rows.iter().filter(|r| r.kind == kind).count()
     }
-
-    /// Every variable referenced by a row.
-    pub fn referenced_vars(&self) -> Vec<usize> {
-        let mut vars: Vec<usize> = self
-            .rows
-            .iter()
-            .flat_map(|r| r.expr.vars().collect::<Vec<_>>())
-            .collect();
-        vars.sort_unstable();
-        vars.dedup();
-        vars
-    }
 }
 
 /// Builds the constraint system for `subset` (packet indices into the
@@ -132,20 +120,33 @@ pub fn build_constraints(
     intervals: &Intervals,
     opts: &ConstraintOptions,
 ) -> ConstraintSystem {
+    build_constraints_over(
+        view,
+        subset,
+        &view.subset_passthroughs(subset),
+        intervals,
+        opts,
+    )
+}
+
+/// [`build_constraints`] with the subset's pass-throughs
+/// ([`TraceView::subset_passthroughs`]) already computed, so a caller
+/// that needs them again (the estimator's variance objective) sorts
+/// them once.
+pub(crate) fn build_constraints_over(
+    view: &TraceView,
+    subset: &[usize],
+    passes: &[(usize, usize, usize)],
+    intervals: &Intervals,
+    opts: &ConstraintOptions,
+) -> ConstraintSystem {
     let mut system = ConstraintSystem::default();
-    let in_subset = {
-        let mut mask = vec![false; view.num_packets()];
-        for &p in subset {
-            mask[p] = true;
-        }
-        mask
-    };
 
     // ---- Order rows. ----
     for &p in subset {
         let len = view.packet(p).path.len();
         for hop in 0..len - 1 {
-            let expr = view.time_expr(p, hop + 1).sub(&view.time_expr(p, hop));
+            let expr = view.delay_expr(p, hop);
             push_row(
                 &mut system,
                 Row {
@@ -160,19 +161,14 @@ pub fn build_constraints(
 
     // ---- FIFO rows and undecided pairs. ----
     if opts.use_fifo {
-        for node in view.forwarding_nodes().collect::<Vec<_>>() {
-            let entries: Vec<(usize, usize)> = view
-                .passthroughs(node)
-                .iter()
-                .copied()
-                .filter(|&(p, _)| in_subset[p])
-                .collect();
+        for entries in passes.chunk_by(|a, b| a.0 == b.0) {
             if entries.len() < 2 {
                 continue;
             }
+            let node = NodeId::new(entries[0].0 as u16);
             let mut sorted: Vec<(f64, usize, usize)> = entries
                 .iter()
-                .map(|&(p, hop)| {
+                .map(|&(_, p, hop)| {
                     let (lo, _) = intervals.of(view.time_ref(p, hop));
                     (lo, p, hop)
                 })
@@ -190,9 +186,10 @@ pub fn build_constraints(
                                 (0, ConstraintKind::FifoArrival),
                                 (1, ConstraintKind::FifoDeparture),
                             ] {
-                                let expr = view
-                                    .time_expr(second.0, second.1 + delta)
-                                    .sub(&view.time_expr(first.0, first.1 + delta));
+                                let expr = view.time_diff_expr(
+                                    (second.0, second.1 + delta),
+                                    (first.0, first.1 + delta),
+                                );
                                 push_row(
                                     &mut system,
                                     Row {
@@ -224,7 +221,7 @@ pub fn build_constraints(
         // system from the rare quantization/drift corner case.
         let mut lower = own.clone();
         for &(x, hop) in &sets.certain {
-            lower = lower.add(&view.delay_expr(x, hop));
+            lower += &view.delay_expr(x, hop);
         }
         let (min_possible, _) = expr_interval(&lower, intervals);
         if min_possible <= s + opts.sum_slack_ms {
@@ -246,7 +243,7 @@ pub fn build_constraints(
         if opts.use_upper_sum {
             let mut upper = own;
             for &(x, hop) in &sets.possible {
-                upper = upper.add(&view.delay_expr(x, hop));
+                upper += &view.delay_expr(x, hop);
             }
             let (_, max_possible) = expr_interval(&upper, intervals);
             if max_possible >= s - opts.sum_slack_ms {
@@ -278,26 +275,25 @@ pub enum RowRestriction {
     Vacuous,
 }
 
-/// Restricts a row to the variables selected by `in_set`, replacing
+/// Restricts a row to the variables `in_set` accepts, replacing
 /// outside variables with their interval bounds and widening the row
 /// bounds accordingly. The result is a *relaxation*: every assignment
 /// feasible for the original system stays feasible, so both the bound
 /// LPs (at sub-graph boundaries) and the windowed estimator (at window
 /// boundaries) can use it without importing foreign variables.
-pub fn restrict_row_to(row: &Row, in_set: &[bool], intervals: &Intervals) -> RowRestriction {
-    let outside: Vec<(usize, f64)> = row
-        .expr
-        .terms()
-        .into_iter()
-        .filter(|&(v, _)| !in_set[v])
-        .collect();
-    if outside.is_empty() {
+pub fn restrict_row_to(
+    row: &Row,
+    in_set: impl Fn(usize) -> bool,
+    intervals: &Intervals,
+) -> RowRestriction {
+    let terms = row.expr.terms();
+    if terms.iter().all(|&(v, _)| in_set(v)) {
         return RowRestriction::Inside;
     }
     let mut expr = row.expr.clone();
     let mut lo = row.lo;
     let mut hi = row.hi;
-    for (v, c) in outside {
+    for &(v, c) in terms.iter().filter(|&&(v, _)| !in_set(v)) {
         expr.add_term(v, -c);
         let (vlo, vhi) = (intervals.lb[v], intervals.ub[v]);
         let (min_c, max_c) = if c >= 0.0 {
@@ -340,7 +336,7 @@ pub fn tighten_intervals_with_rows(
         let mut changed = false;
         for row in rows {
             let (total_lo, total_hi) = expr_interval(&row.expr, intervals);
-            for (v, c) in row.expr.terms() {
+            for &(v, c) in row.expr.terms() {
                 if c.abs() < 1e-12 {
                     continue;
                 }
@@ -392,7 +388,7 @@ pub fn tighten_intervals_with_rows(
 pub fn expr_interval(expr: &LinExpr, intervals: &Intervals) -> (f64, f64) {
     let mut lo = expr.constant();
     let mut hi = expr.constant();
-    for (v, c) in expr.terms() {
+    for &(v, c) in expr.terms() {
         let (vlo, vhi) = (intervals.lb[v], intervals.ub[v]);
         if c >= 0.0 {
             lo += c * vlo;
@@ -524,13 +520,5 @@ mod tests {
         assert_eq!(system.count(ConstraintKind::SumUpper), 0);
         assert!(system.undecided_pairs.is_empty());
         assert!(system.count(ConstraintKind::SumLower) > 0);
-    }
-
-    #[test]
-    fn referenced_vars_are_sorted_unique() {
-        let (_, _, system) = system_for(16);
-        let vars = system.referenced_vars();
-        assert!(vars.windows(2).all(|w| w[0] < w[1]));
-        assert!(!vars.is_empty());
     }
 }

@@ -30,9 +30,20 @@
 //! result is **bit-identical for every thread count** — the chain
 //! boundaries depend on the configuration alone, never on the
 //! scheduling. See `DESIGN.md` §10 for the full determinism argument.
+//!
+//! # Committing a prefix
+//!
+//! [`try_estimate_prefix`] estimates only the oldest packets of a view
+//! (the streaming wrapper emits the older half of its buffer). It plans
+//! the same schedule and the same chains as a whole-view run, then runs
+//! each chain only up to its last window whose commit zone reaches into
+//! the prefix. Every window it runs sees exactly the inputs, warm seed
+//! included, that it sees in the whole-view run, so the prefix's
+//! estimates are bit-identical to that run's.
 
 use crate::constraints::{
-    build_constraints, ConstraintKind, ConstraintOptions, ConstraintSystem, FifoPair,
+    build_constraints_over, restrict_row_to, ConstraintKind, ConstraintOptions, ConstraintSystem,
+    FifoPair, RowRestriction,
 };
 use crate::expr::LinExpr;
 use crate::interval::{propagate, Intervals};
@@ -159,7 +170,10 @@ pub struct EstimatorStats {
     /// Solve attempts the solver refused outright (failed factorization,
     /// malformed window problem) rather than merely not converging.
     pub solver_errors: usize,
-    /// Scheduling chains executed (`ceil(windows / chain_windows)`).
+    /// Scheduling chains executed. A whole-view run executes every
+    /// chain of the plan, `ceil(windows / chain_windows)`; a
+    /// [`try_estimate_prefix`] run only those that commit part of the
+    /// prefix.
     pub chains: usize,
     /// Windows whose solve was seeded from the previous window's
     /// solution (only possible with `warm_start` and overlapping
@@ -262,6 +276,51 @@ pub fn estimate(view: &TraceView, cfg: &EstimatorConfig) -> Estimates {
 /// [`EstimatorError::BadConfig`] when `effective_window_ratio` is
 /// outside `(0, 1]`, `window_packets == 0`, or `chain_windows == 0`.
 pub fn try_estimate(view: &TraceView, cfg: &EstimatorConfig) -> Result<Estimates, EstimatorError> {
+    try_estimate_prefix(view, cfg, view.num_packets())
+}
+
+/// Estimates the unknowns of the `commit` oldest packets of the view
+/// (by `(gen_time, pid)`), with every packet of the view as context;
+/// [`try_estimate`] is the case `commit = view.num_packets()`.
+///
+/// The schedule and its chains are planned exactly as for the whole
+/// view. Each chain then runs its windows up to and including the last
+/// one whose commit zone holds a prefix packet, and a chain that
+/// commits no prefix packet does not run; a window's solve depends only
+/// on its own packets and on its chain predecessors, so every estimate
+/// this returns is bit-identical to the whole-view run's, for any
+/// thread count. Variables of packets beyond the prefix stay `None`
+/// unless a window that ran commits them.
+///
+/// # Errors
+///
+/// Same as [`try_estimate`].
+///
+/// # Examples
+///
+/// ```
+/// use domo_core::estimator::{try_estimate, try_estimate_prefix, EstimatorConfig};
+/// use domo_core::view::TraceView;
+///
+/// let trace = domo_net::run_simulation(&domo_net::NetworkConfig::small(16, 1));
+/// let mut packets = trace.packets.clone();
+/// packets.sort_by_key(|p| (p.gen_time, p.pid));
+/// let view = TraceView::new(packets);
+/// let cfg = EstimatorConfig::default();
+/// let half = view.num_packets() / 2;
+/// let whole = try_estimate(&view, &cfg)?;
+/// let prefix = try_estimate_prefix(&view, &cfg, half)?;
+/// assert!(prefix.stats.windows <= whole.stats.windows);
+/// for (v, hop) in view.vars().iter().enumerate().filter(|(_, h)| h.packet < half) {
+///     assert_eq!(prefix.time_of(v).map(f64::to_bits), whole.time_of(v).map(f64::to_bits));
+/// }
+/// # Ok::<(), domo_core::estimator::EstimatorError>(())
+/// ```
+pub fn try_estimate_prefix(
+    view: &TraceView,
+    cfg: &EstimatorConfig,
+    commit: usize,
+) -> Result<Estimates, EstimatorError> {
     if !(cfg.effective_window_ratio > 0.0 && cfg.effective_window_ratio <= 1.0) {
         return Err(EstimatorError::BadConfig(
             "effective window ratio must be in (0, 1]".into(),
@@ -286,7 +345,20 @@ pub fn try_estimate(view: &TraceView, cfg: &EstimatorConfig) -> Result<Estimates
     let mut times_ms: Vec<Option<f64>> = vec![None; view.num_vars()];
     let mut stats = EstimatorStats::default();
 
-    let jobs = plan_windows(view, cfg);
+    // Commit zones tile the generation order, so the windows that commit
+    // a prefix packet are a prefix of the schedule; cutting the schedule
+    // there cuts only the tail of the last chain it reaches.
+    let mut jobs = plan_windows(view, cfg);
+    let mut planned = 0;
+    let needed = jobs
+        .iter()
+        .take_while(|job| {
+            let reaches_prefix = planned < commit;
+            planned += job.commit.len();
+            reaches_prefix
+        })
+        .count();
+    jobs.truncate(needed);
     if jobs.is_empty() {
         return Ok(Estimates { times_ms, stats });
     }
@@ -396,6 +468,17 @@ struct ChainResult {
     stats: EstimatorStats,
 }
 
+/// A window's solution (ms) as `(global variable, value)` pairs sorted
+/// by variable: the warm seed of its chain successor.
+type WarmSeed = Vec<(usize, f64)>;
+
+/// The seed's value for `var`, if the seeding window solved it.
+fn seed_value(seed: &[(usize, f64)], var: usize) -> Option<f64> {
+    seed.binary_search_by_key(&var, |&(v, _)| v)
+        .ok()
+        .map(|at| seed[at].1)
+}
+
 /// Runs one chain sequentially, threading each window's solution into
 /// its successor as a warm start (when enabled).
 fn run_chain(
@@ -406,9 +489,13 @@ fn run_chain(
 ) -> ChainResult {
     let mut commits = Vec::new();
     let mut stats = EstimatorStats::default();
-    let mut warm: Option<HashMap<usize, f64>> = None;
+    let mut warm: Option<WarmSeed> = None;
     for job in jobs {
-        let seed = if cfg.warm_start { warm.as_ref() } else { None };
+        let seed = if cfg.warm_start {
+            warm.as_deref()
+        } else {
+            None
+        };
         warm = solve_window(
             view,
             cfg,
@@ -455,30 +542,24 @@ fn commit_vars(view: &TraceView, commit: &[usize]) -> Vec<usize> {
         .collect()
 }
 
-/// The variance-objective terms (paper Eq. 8) among `subset`: one
+/// The variance-objective terms (paper Eq. 8) among a packet subset,
+/// given its pass-throughs ([`TraceView::subset_passthroughs`]): one
 /// squared delay difference per close-in-time pair at each shared
 /// forwarder.
 pub(crate) fn variance_terms(
     view: &TraceView,
-    subset: &[usize],
+    passes: &[(usize, usize, usize)],
     epsilon_ms: f64,
     pairs_per_packet: usize,
 ) -> Vec<LinExpr> {
-    let mut mask = vec![false; view.num_packets()];
-    for &p in subset {
-        mask[p] = true;
-    }
     let mut terms = Vec::new();
-    for node in view.forwarding_nodes().collect::<Vec<_>>() {
-        let mut entries: Vec<(usize, usize)> = view
-            .passthroughs(node)
-            .iter()
-            .copied()
-            .filter(|&(p, _)| mask[p])
-            .collect();
-        if entries.len() < 2 {
+    let mut entries: Vec<(usize, usize)> = Vec::new();
+    for node in passes.chunk_by(|a, b| a.0 == b.0) {
+        if node.len() < 2 {
             continue;
         }
+        entries.clear();
+        entries.extend(node.iter().map(|&(_, p, hop)| (p, hop)));
         entries.sort_by_key(|&(p, _)| (view.packet(p).gen_time, view.packet(p).pid));
         for i in 0..entries.len() {
             let (pi, hi) = entries[i];
@@ -488,7 +569,8 @@ pub(crate) fn variance_terms(
                 if (gen_j - gen_i).abs() > epsilon_ms {
                     break;
                 }
-                let diff = view.delay_expr(pi, hi).sub(&view.delay_expr(pj, hj));
+                let mut diff = view.delay_expr(pi, hi);
+                diff -= &view.delay_expr(pj, hj);
                 if !diff.is_empty() {
                     terms.push(diff);
                 }
@@ -499,8 +581,8 @@ pub(crate) fn variance_terms(
 }
 
 /// Solves one window and appends its committed estimates. Returns the
-/// full window solution (ms, by global variable) for the successor's
-/// warm start, or `None` when the window fell back to midpoints.
+/// full window solution for the successor's warm start, or `None` when
+/// the window fell back to midpoints.
 #[allow(clippy::too_many_arguments)]
 fn solve_window(
     view: &TraceView,
@@ -508,12 +590,15 @@ fn solve_window(
     intervals: &Intervals,
     window: &[usize],
     commit: &[usize],
-    warm_seed: Option<&HashMap<usize, f64>>,
+    warm_seed: Option<&[(usize, f64)]>,
     commits: &mut Vec<(usize, f64)>,
     stats: &mut EstimatorStats,
-) -> Option<HashMap<usize, f64>> {
+) -> Option<WarmSeed> {
     let _span = domo_obs::span!("domo_estimator_window_solve_seconds");
-    let mut system = build_constraints(view, window, intervals, &cfg.constraints);
+    // Nothing below allocates or scans per view: the window reads its
+    // own packets and the nodes they cross.
+    let passes = view.subset_passthroughs(window);
+    let mut system = build_constraints_over(view, window, &passes, intervals, &cfg.constraints);
 
     // Local variable space: the window packets' own unknowns only. Rows
     // that reference foreign variables (candidate-set sums reaching
@@ -529,34 +614,30 @@ fn solve_window(
             }
         }
     }
+    // Sorted, so local order is global order and the solution below is
+    // a sorted warm seed.
     vars.sort_unstable();
     vars.dedup();
-    let mut in_window = vec![false; view.num_vars()];
-    for &v in &vars {
-        in_window[v] = true;
-    }
-    system.rows = system
-        .rows
-        .iter()
-        .filter_map(
-            |row| match crate::constraints::restrict_row_to(row, &in_window, intervals) {
-                crate::constraints::RowRestriction::Inside => Some(row.clone()),
-                crate::constraints::RowRestriction::Relaxed(r) => Some(r),
-                crate::constraints::RowRestriction::Vacuous => None,
-            },
-        )
-        .collect();
-
     let t_ref = window
         .iter()
         .map(|&p| TraceView::ms(view.packet(p).gen_time))
         .fold(f64::INFINITY, f64::min);
     let local = LocalProblem::new(&vars, t_ref);
-    let objective = variance_terms(view, window, cfg.epsilon_ms, cfg.pairs_per_packet);
+    system.rows.retain_mut(|row| {
+        match restrict_row_to(row, |v| local.local(v).is_some(), intervals) {
+            RowRestriction::Inside => true,
+            RowRestriction::Relaxed(relaxed) => {
+                *row = relaxed;
+                true
+            }
+            RowRestriction::Vacuous => false,
+        }
+    });
+    let objective = variance_terms(view, &passes, cfg.epsilon_ms, cfg.pairs_per_packet);
 
     // A warm seed only counts when it actually covers part of this
     // window (overlapping successor windows share `w − keep` packets).
-    let warm_seed = warm_seed.filter(|m| vars.iter().any(|v| m.contains_key(v)));
+    let warm_seed = warm_seed.filter(|seed| vars.iter().any(|&v| seed_value(seed, v).is_some()));
     if warm_seed.is_some() {
         stats.warm_hits += 1;
         OBS_WARM_HITS.inc();
@@ -656,12 +737,15 @@ fn solve_window(
                 commits.push((v, t));
             }
             // The full window solution seeds the successor's warm start.
-            let mut sol_ms = HashMap::with_capacity(local.num_vars());
-            for (lv, &xv) in x.iter().enumerate() {
-                let g = local.global(lv);
-                sol_ms.insert(g, local.to_ms(xv).clamp(intervals.lb[g], intervals.ub[g]));
-            }
-            Some(sol_ms)
+            Some(
+                x.iter()
+                    .enumerate()
+                    .map(|(lv, &xv)| {
+                        let g = local.global(lv);
+                        (g, local.to_ms(xv).clamp(intervals.lb[g], intervals.ub[g]))
+                    })
+                    .collect(),
+            )
         }
         None => {
             stats.unsolved_windows += 1;
@@ -698,7 +782,7 @@ fn attempt(
     objective: &[LinExpr],
     use_sdp: bool,
     relax: Relax,
-    warm_seed: Option<&HashMap<usize, f64>>,
+    warm_seed: Option<&[(usize, f64)]>,
     stats: &mut EstimatorStats,
 ) -> Option<Vec<f64>> {
     let m = local.num_vars();
@@ -727,8 +811,7 @@ fn attempt(
     // Anchor regularization (true quadratic in both modes).
     for lv in 0..m {
         let g = local.global(lv);
-        let anchor = LinExpr::var(g).sub(&LinExpr::constant_of(intervals.midpoint(g)));
-        local.add_square(&mut b, &anchor, cfg.anchor_weight);
+        local.add_anchor(&mut b, g, intervals.midpoint(g), cfg.anchor_weight);
     }
 
     if use_sdp {
@@ -806,7 +889,7 @@ fn attempt(
     for (lv, w) in warm.iter_mut().take(m).enumerate() {
         let g = local.global(lv);
         let ms = warm_seed
-            .and_then(|m| m.get(&g).copied())
+            .and_then(|seed| seed_value(seed, g))
             .unwrap_or_else(|| intervals.midpoint(g));
         *w = local.from_ms(ms);
     }
@@ -1136,8 +1219,9 @@ mod tests {
         let trace = run_simulation(&NetworkConfig::small(16, 27));
         let view = TraceView::new(trace.packets.clone());
         let subset: Vec<usize> = (0..view.num_packets()).collect();
-        let wide = variance_terms(&view, &subset, 1e12, 4);
-        let narrow = variance_terms(&view, &subset, 1.0, 4);
+        let passes = view.subset_passthroughs(&subset);
+        let wide = variance_terms(&view, &passes, 1e12, 4);
+        let narrow = variance_terms(&view, &passes, 1.0, 4);
         assert!(wide.len() > narrow.len());
     }
 }

@@ -6,9 +6,14 @@
 //! [`LinExpr`] keeps those expressions symbolic until they are lowered
 //! into solver rows or quadratic objective terms.
 
-use std::collections::BTreeMap;
+use std::ops::{AddAssign, SubAssign};
 
 /// A sparse affine expression `Σ coefᵢ·xᵢ + constant` (milliseconds).
+///
+/// The terms are a vector sorted by variable with no zero coefficient:
+/// the expressions Domo builds touch a handful of variables, so a
+/// sorted insert beats a tree, and [`LinExpr::terms`] lends them out
+/// without copying.
 ///
 /// # Examples
 ///
@@ -21,7 +26,7 @@ use std::collections::BTreeMap;
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct LinExpr {
-    terms: BTreeMap<usize, f64>,
+    terms: Vec<(usize, f64)>,
     constant: f64,
 }
 
@@ -34,27 +39,37 @@ impl LinExpr {
     /// A constant expression.
     pub fn constant_of(c: f64) -> Self {
         Self {
-            terms: BTreeMap::new(),
+            terms: Vec::new(),
             constant: c,
         }
     }
 
     /// The expression `x_var`.
     pub fn var(var: usize) -> Self {
-        let mut terms = BTreeMap::new();
-        terms.insert(var, 1.0);
+        // Room for a second term: most expressions are time differences.
+        let mut terms = Vec::with_capacity(2);
+        terms.push((var, 1.0));
         Self {
             terms,
             constant: 0.0,
         }
     }
 
-    /// Adds `coef · x_var` in place.
+    /// Adds `coef · x_var` in place; a coefficient that sums to zero
+    /// removes the term.
     pub fn add_term(&mut self, var: usize, coef: f64) -> &mut Self {
-        let entry = self.terms.entry(var).or_insert(0.0);
-        *entry += coef;
-        if *entry == 0.0 {
-            self.terms.remove(&var);
+        match self.terms.binary_search_by_key(&var, |&(v, _)| v) {
+            Ok(at) => {
+                self.terms[at].1 += coef;
+                if self.terms[at].1 == 0.0 {
+                    self.terms.remove(at);
+                }
+            }
+            Err(at) => {
+                if coef != 0.0 {
+                    self.terms.insert(at, (var, coef));
+                }
+            }
         }
         self
     }
@@ -68,20 +83,14 @@ impl LinExpr {
     /// Returns `self + other`.
     pub fn add(&self, other: &LinExpr) -> LinExpr {
         let mut out = self.clone();
-        for (&v, &c) in &other.terms {
-            out.add_term(v, c);
-        }
-        out.constant += other.constant;
+        out += other;
         out
     }
 
     /// Returns `self − other`.
     pub fn sub(&self, other: &LinExpr) -> LinExpr {
         let mut out = self.clone();
-        for (&v, &c) in &other.terms {
-            out.add_term(v, -c);
-        }
-        out.constant -= other.constant;
+        out -= other;
         out
     }
 
@@ -91,16 +100,16 @@ impl LinExpr {
             terms: self
                 .terms
                 .iter()
-                .filter(|&(_, &c)| c * s != 0.0)
-                .map(|(&v, &c)| (v, c * s))
+                .filter(|&&(_, c)| c * s != 0.0)
+                .map(|&(v, c)| (v, c * s))
                 .collect(),
             constant: self.constant * s,
         }
     }
 
     /// The variable terms, sorted by variable index.
-    pub fn terms(&self) -> Vec<(usize, f64)> {
-        self.terms.iter().map(|(&v, &c)| (v, c)).collect()
+    pub fn terms(&self) -> &[(usize, f64)] {
+        &self.terms
     }
 
     /// The constant offset.
@@ -129,12 +138,30 @@ impl LinExpr {
     ///
     /// Panics if a referenced variable is out of range for `x`.
     pub fn eval(&self, x: &[f64]) -> f64 {
-        self.constant + self.terms.iter().map(|(&v, &c)| c * x[v]).sum::<f64>()
+        self.constant + self.terms.iter().map(|&(v, c)| c * x[v]).sum::<f64>()
     }
 
     /// Variables referenced by this expression.
     pub fn vars(&self) -> impl Iterator<Item = usize> + '_ {
-        self.terms.keys().copied()
+        self.terms.iter().map(|&(v, _)| v)
+    }
+}
+
+impl AddAssign<&LinExpr> for LinExpr {
+    fn add_assign(&mut self, other: &LinExpr) {
+        for &(v, c) in &other.terms {
+            self.add_term(v, c);
+        }
+        self.constant += other.constant;
+    }
+}
+
+impl SubAssign<&LinExpr> for LinExpr {
+    fn sub_assign(&mut self, other: &LinExpr) {
+        for &(v, c) in &other.terms {
+            self.add_term(v, -c);
+        }
+        self.constant -= other.constant;
     }
 }
 

@@ -60,7 +60,8 @@ pub use constraints::{
 };
 pub use diagnostics::{diagnose, SystemDiagnostics};
 pub use estimator::{
-    estimate, try_estimate, Estimates, EstimatorConfig, EstimatorError, EstimatorStats, FifoMode,
+    estimate, try_estimate, try_estimate_prefix, Estimates, EstimatorConfig, EstimatorError,
+    EstimatorStats, FifoMode,
 };
 pub use interval::{propagate, propagate_from_seed, Intervals};
 pub use report::{build_report, compare_windows, DelayReport, NodeShift, ReportOptions};

@@ -12,7 +12,6 @@ use crate::constraints::Row;
 use crate::expr::LinExpr;
 use crate::interval::Intervals;
 use domo_solver::QpBuilder;
-use std::collections::HashMap;
 
 /// Milliseconds per window unit (window unit = seconds).
 pub const MS_PER_UNIT: f64 = 1000.0;
@@ -20,7 +19,10 @@ pub const MS_PER_UNIT: f64 = 1000.0;
 /// A local (per-window / per-sub-graph) variable space.
 #[derive(Debug, Clone)]
 pub struct LocalProblem {
-    map: HashMap<usize, usize>,
+    /// `(global, local)` pairs sorted by global index: a lookup is a
+    /// binary search over the space's own variables, never a table
+    /// sized by the whole view.
+    by_global: Vec<(usize, usize)>,
     inverse: Vec<usize>,
     t_ref_ms: f64,
 }
@@ -33,15 +35,17 @@ impl LocalProblem {
     ///
     /// Panics if `vars` contains duplicates.
     pub fn new(vars: &[usize], t_ref_ms: f64) -> Self {
-        let mut map = HashMap::with_capacity(vars.len());
-        for (local, &global) in vars.iter().enumerate() {
-            assert!(
-                map.insert(global, local).is_none(),
-                "duplicate variable {global} in local problem"
-            );
+        let mut by_global: Vec<(usize, usize)> = vars
+            .iter()
+            .enumerate()
+            .map(|(local, &global)| (global, local))
+            .collect();
+        by_global.sort_unstable();
+        if let Some(pair) = by_global.windows(2).find(|w| w[0].0 == w[1].0) {
+            panic!("duplicate variable {} in local problem", pair[0].0);
         }
         Self {
-            map,
+            by_global,
             inverse: vars.to_vec(),
             t_ref_ms,
         }
@@ -54,7 +58,17 @@ impl LocalProblem {
 
     /// Local index of a global variable, if present.
     pub fn local(&self, global: usize) -> Option<usize> {
-        self.map.get(&global).copied()
+        self.by_global
+            .binary_search_by_key(&global, |&(g, _)| g)
+            .ok()
+            .map(|at| self.by_global[at].1)
+    }
+
+    /// [`LocalProblem::local`] for a variable the caller guarantees is
+    /// in the space.
+    fn local_of(&self, global: usize) -> usize {
+        self.local(global)
+            .unwrap_or_else(|| panic!("variable {global} not in local problem"))
     }
 
     /// Global index of a local variable.
@@ -84,32 +98,36 @@ impl LocalProblem {
     /// # Panics
     ///
     /// Panics if the expression references a variable outside this local
-    /// space — callers must build the space from
-    /// [`crate::constraints::ConstraintSystem::referenced_vars`] or a
-    /// superset.
+    /// space — callers must build the space over every variable the
+    /// expression names (restrict rows first with
+    /// [`crate::constraints::restrict_row_to`]).
     pub fn lower_expr(&self, expr: &LinExpr) -> (Vec<(usize, f64)>, f64) {
-        let mut coef_sum = 0.0;
-        let terms: Vec<(usize, f64)> = expr
+        let terms = expr
             .terms()
-            .into_iter()
-            .map(|(global, c)| {
-                coef_sum += c;
-                let local = self
-                    .local(global)
-                    .unwrap_or_else(|| panic!("variable {global} not in local problem"));
-                (local, c)
-            })
+            .iter()
+            .map(|&(global, c)| (self.local_of(global), c))
             .collect();
-        let constant = (expr.constant() + self.t_ref_ms * coef_sum) / MS_PER_UNIT;
-        (terms, constant)
+        (terms, self.lowered_constant(expr.terms(), expr.constant()))
+    }
+
+    /// The window-unit constant of `Σ cᵢ·tᵢ + constant_ms`: the shift
+    /// `t_ref·Σ cᵢ` joins the constant before the rescale.
+    fn lowered_constant(&self, terms: &[(usize, f64)], constant_ms: f64) -> f64 {
+        let coef_sum = terms.iter().fold(0.0, |sum, &(_, c)| sum + c);
+        (constant_ms + self.t_ref_ms * coef_sum) / MS_PER_UNIT
     }
 
     /// Adds a constraint row (`lo ≤ expr ≤ hi`, all in ms) to a builder.
+    ///
+    /// # Panics
+    ///
+    /// Panics like [`LocalProblem::lower_expr`].
     pub fn add_row(&self, builder: &mut QpBuilder, row: &Row) {
-        let (terms, constant) = self.lower_expr(&row.expr);
+        let terms = row.expr.terms();
         if terms.is_empty() {
             return;
         }
+        let constant = self.lowered_constant(terms, row.expr.constant());
         let lo = if row.lo.is_finite() {
             row.lo / MS_PER_UNIT - constant
         } else {
@@ -120,7 +138,11 @@ impl LocalProblem {
         } else {
             f64::INFINITY
         };
-        builder.add_row(&terms, lo, hi);
+        builder.add_row_from(
+            terms.iter().map(|&(global, c)| (self.local_of(global), c)),
+            lo,
+            hi,
+        );
     }
 
     /// Adds interval box rows for every local variable.
@@ -138,13 +160,42 @@ impl LocalProblem {
     /// Adds the squared ms-expression `(expr)²` to the quadratic
     /// objective (constant factor `MS_PER_UNIT²` dropped — it does not
     /// move the argmin).
+    ///
+    /// # Panics
+    ///
+    /// Panics like [`LocalProblem::lower_expr`].
     pub fn add_square(&self, builder: &mut QpBuilder, expr: &LinExpr, weight: f64) {
-        let (terms, constant) = self.lower_expr(expr);
+        self.add_square_terms(builder, expr.terms(), expr.constant(), weight);
+    }
+
+    /// Adds the anchor `weight·(t_global − target_ms)²`: the same entries
+    /// [`LocalProblem::add_square`] adds for that expression, without
+    /// building it.
+    pub(crate) fn add_anchor(
+        &self,
+        builder: &mut QpBuilder,
+        global: usize,
+        target_ms: f64,
+        weight: f64,
+    ) {
+        self.add_square_terms(builder, &[(global, 1.0)], -target_ms, weight);
+    }
+
+    /// `weight·(Σ cᵢ·tᵢ + constant_ms)²` over global terms.
+    fn add_square_terms(
+        &self,
+        builder: &mut QpBuilder,
+        terms: &[(usize, f64)],
+        constant_ms: f64,
+        weight: f64,
+    ) {
+        let constant = self.lowered_constant(terms, constant_ms);
         // (Σ cᵢxᵢ + k)² → P entries 2·w·cᵢcⱼ, linear 2·w·k·cᵢ.
-        for (a, &(va, ca)) in terms.iter().enumerate() {
+        for (a, &(ga, ca)) in terms.iter().enumerate() {
+            let va = self.local_of(ga);
             builder.add_quadratic(va, va, 2.0 * weight * ca * ca);
-            for &(vb, cb) in terms.iter().skip(a + 1) {
-                builder.add_quadratic(va, vb, 2.0 * weight * ca * cb);
+            for &(gb, cb) in terms.iter().skip(a + 1) {
+                builder.add_quadratic(va, self.local_of(gb), 2.0 * weight * ca * cb);
             }
             builder.add_linear(va, 2.0 * weight * constant * ca);
         }

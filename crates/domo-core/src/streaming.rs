@@ -4,15 +4,25 @@
 //! Operationally, a sink wants per-hop delays *while the network runs*.
 //! [`StreamingEstimator`] wraps the windowed estimator in a rolling
 //! buffer: packets are pushed as they arrive at the sink; whenever the
-//! buffer reaches its high-water mark the oldest half is solved (with
-//! the newer half present as constraint context, playing the role of the
-//! overlap in §IV.B's improved time windows) and emitted.
+//! buffer reaches its high-water mark its oldest half is emitted.
+//!
+//! A flush plans §IV.B's overlapping windows over the whole buffer, as
+//! an offline run over those packets would, but solves only the windows
+//! whose commit zones cover the emitted half
+//! ([`crate::estimator::try_estimate_prefix`]). At the defaults (48-packet
+//! windows keeping their middle 24, a 192-packet buffer) that is four of
+//! the seven planned windows, spanning buffer packets 0..120: every
+//! emitted packet is solved inside a window that reaches at least 12
+//! packets past it, and the rest of the buffer still shapes the solve
+//! through interval propagation and the relaxed rows that reach outside
+//! a window. The windows left out commit only packets that stay
+//! buffered, so the emissions are bit-identical to solving all seven.
 //!
 //! Compared to a full offline solve, the online mode loses the
 //! constraints that would have arrived *after* a packet's flush — the
 //! accuracy cost is bounded and measured in this module's tests.
 
-use crate::estimator::{try_estimate, EstimatorConfig};
+use crate::estimator::{try_estimate_prefix, EstimatorConfig};
 use crate::view::{TimeRef, TraceView};
 use crate::DomoError;
 use domo_net::{CollectedPacket, PacketId};
@@ -87,9 +97,10 @@ pub struct StreamingEstimator {
 
 impl StreamingEstimator {
     /// Creates an online estimator. The default flush threshold is four
-    /// windows of the wrapped estimator, so each flushed packet is
-    /// solved with at least one window of future context; override it
-    /// with [`StreamingEstimator::with_high_water`].
+    /// windows of the wrapped estimator: a flush emits the older two and
+    /// solves only the windows that commit them (see the module docs),
+    /// so the newer half is context, not work. Override it with
+    /// [`StreamingEstimator::with_high_water`].
     pub fn new(cfg: EstimatorConfig) -> Self {
         let high_water = Self::effective_high_water(&cfg, None);
         Self {
@@ -308,13 +319,14 @@ impl StreamingEstimator {
         self.flush(n)
     }
 
-    /// Commits the oldest half of the buffer *now*, without waiting for
-    /// the high-water mark — the emission hook a long-running sink uses
-    /// to bound reconstruction latency on quiet streams (e.g. from an
-    /// idle timer or an operator's flush request). The newer half stays
-    /// buffered as future context, so accuracy degrades no further than
-    /// a regular high-water flush; an early flush simply solves with
-    /// less context than waiting would have gathered.
+    /// Commits the oldest half of the buffer (rounded up) *now*, without
+    /// waiting for the high-water mark — the emission hook a long-running
+    /// sink uses to bound reconstruction latency on quiet streams (e.g.
+    /// from an idle timer or an operator's flush request). Like a
+    /// high-water flush it plans windows over the whole buffer and solves
+    /// those whose commit zones cover the emitted half; the newer half
+    /// stays buffered and informs the solve as context. An early flush
+    /// simply solves with less context than waiting would have gathered.
     ///
     /// # Errors
     ///
@@ -324,8 +336,8 @@ impl StreamingEstimator {
         self.flush(n.div_ceil(2))
     }
 
-    /// Solves over the whole buffer and emits the `commit` oldest
-    /// packets (by generation time).
+    /// Emits the `commit` oldest packets (by generation time), solving
+    /// the windows that commit them with the whole buffer as the view.
     ///
     /// The buffer is moved — not cloned — into the solve: it is already
     /// sorted by `(gen_time, pid)`, so the oldest `commit` packets are
@@ -368,13 +380,14 @@ impl StreamingEstimator {
     }
 
     /// Reconstructs the first `commit` packets of `view` (which holds
-    /// the buffer in `(gen_time, pid)` order).
+    /// the buffer in `(gen_time, pid)` order, so they are also the
+    /// estimator's generation-order prefix).
     fn reconstruct_prefix(
         view: &TraceView,
         cfg: &EstimatorConfig,
         commit: usize,
     ) -> Result<Vec<ReconstructedPacket>, DomoError> {
-        let est = try_estimate(view, cfg)?;
+        let est = try_estimate_prefix(view, cfg, commit)?;
         let mut out = Vec::with_capacity(commit);
         for pi in 0..commit {
             let p = view.packet(pi);
@@ -711,6 +724,92 @@ mod tests {
             }
         }
         assert_eq!(reference.emitted(), restored.emitted());
+    }
+
+    #[test]
+    fn a_high_water_flush_solves_only_the_windows_it_emits() {
+        // At the defaults the 192-packet buffer plans seven windows with
+        // commit zones [0,36) [36,60) [60,84) [84,108) [108,132)
+        // [132,156) [156,192); a high-water flush emits 96 packets, so
+        // windows 0–3 run and 4–6, which commit only packets that stay
+        // buffered, do not.
+        let cfg = EstimatorConfig::default();
+        let trace = run_simulation(&NetworkConfig::small(25, 312));
+        let mut online = StreamingEstimator::new(cfg.clone());
+        let hw = online.high_water();
+        assert_eq!(hw, 192);
+        assert!(trace.packets.len() > hw);
+        for p in &trace.packets[..hw - 1] {
+            assert!(online.push(p.clone()).is_empty(), "below high water");
+        }
+        // The buffer the next push flushes, as the flush sees it.
+        let mut buffer = trace.packets[..hw].to_vec();
+        buffer.sort_by_key(|p| (p.gen_time, p.pid));
+        let view = TraceView::new(buffer);
+
+        let flush = try_estimate_prefix(&view, &cfg, hw / 2).expect("valid config");
+        assert_eq!(flush.stats.windows, 4);
+        assert_eq!(flush.stats.chains, 1);
+        // End of stream (`try_finish`) still solves every window.
+        let finish = try_estimate_prefix(&view, &cfg, hw).expect("valid config");
+        assert_eq!(finish.stats.windows, 7);
+        assert_eq!(finish.stats.chains, 2);
+        assert_eq!(finish.stats, {
+            let mut whole = crate::estimator::try_estimate(&view, &cfg).expect("valid config");
+            whole.stats.solve_time = finish.stats.solve_time;
+            whole.stats
+        });
+
+        // The flush emits exactly the prefix estimate, which is the
+        // whole-buffer estimate bit for bit.
+        let emitted = online.push(trace.packets[hw - 1].clone());
+        assert_eq!(emitted.len(), hw / 2);
+        for (pi, r) in emitted.iter().enumerate() {
+            assert_eq!(r.pid, view.packet(pi).pid);
+            for (hop, t) in r.hop_times_ms.iter().enumerate() {
+                if let TimeRef::Var(v) = view.time_ref(pi, hop) {
+                    assert_eq!(flush.time_of(v).map(f64::to_bits), Some(t.to_bits()));
+                    assert_eq!(finish.time_of(v).map(f64::to_bits), Some(t.to_bits()));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn prefix_estimates_match_the_whole_view_for_any_prefix_and_thread_count() {
+        let trace = run_simulation(&NetworkConfig::small(16, 313));
+        let mut packets = trace.packets.clone();
+        packets.sort_by_key(|p| (p.gen_time, p.pid));
+        let view = TraceView::new(packets);
+        let n = view.num_packets();
+        for threads in [1, 3] {
+            let cfg = EstimatorConfig {
+                threads,
+                window_packets: 12,
+                chain_windows: 3,
+                ..EstimatorConfig::default()
+            };
+            let whole = crate::estimator::try_estimate(&view, &cfg).expect("valid config");
+            let mut last_windows = 0;
+            for commit in [0, 1, 5, n / 3, n / 2, n - 1, n, n + 10] {
+                let prefix = try_estimate_prefix(&view, &cfg, commit).expect("valid config");
+                assert!(
+                    prefix.stats.windows >= last_windows,
+                    "monotone in the prefix"
+                );
+                last_windows = prefix.stats.windows;
+                for (v, hop) in view.vars().iter().enumerate() {
+                    if hop.packet < commit {
+                        assert_eq!(
+                            prefix.time_of(v).map(f64::to_bits),
+                            whole.time_of(v).map(f64::to_bits),
+                            "threads {threads} commit {commit} var {v}"
+                        );
+                    }
+                }
+            }
+            assert_eq!(last_windows, whole.stats.windows);
+        }
     }
 
     #[test]

@@ -185,8 +185,23 @@ impl TraceView {
     ///
     /// Panics if `hop + 1` is past the end of the path.
     pub fn delay_expr(&self, packet: usize, hop: usize) -> LinExpr {
-        self.time_expr(packet, hop + 1)
-            .sub(&self.time_expr(packet, hop))
+        self.time_diff_expr((packet, hop + 1), (packet, hop))
+    }
+
+    /// `t(later) − t(earlier)` for two `(packet, hop)` arrival times: the
+    /// same expression as `time_expr(later).sub(&time_expr(earlier))`,
+    /// with the earlier time subtracted in place instead of built.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the indices are out of range.
+    pub(crate) fn time_diff_expr(&self, later: (usize, usize), earlier: (usize, usize)) -> LinExpr {
+        let mut diff = self.time_expr(later.0, later.1);
+        match self.time_ref(earlier.0, earlier.1) {
+            TimeRef::Known(ms) => diff.add_constant(-ms),
+            TimeRef::Var(v) => diff.add_term(v, -1.0),
+        };
+        diff
     }
 
     /// The `(packet, hop)` pairs forwarded by `node` (the node appears
@@ -196,6 +211,29 @@ impl TraceView {
             .get(&node.index())
             .map(Vec::as_slice)
             .unwrap_or(&[])
+    }
+
+    /// The pass-throughs of the packets in `subset` as `(node index,
+    /// packet, hop)`, sorted: grouped by node in ascending order, and
+    /// each group equal to [`TraceView::passthroughs`] of that node
+    /// restricted to the subset. Costs O(subset · path length), not
+    /// O(view), so a window reads only the nodes its packets cross.
+    /// Split it per node with `chunk_by(|a, b| a.0 == b.0)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a subset index is out of range.
+    pub(crate) fn subset_passthroughs(&self, subset: &[usize]) -> Vec<(usize, usize, usize)> {
+        let mut out: Vec<(usize, usize, usize)> = subset
+            .iter()
+            .flat_map(|&p| {
+                let path = &self.packets[p].path;
+                (0..path.len().saturating_sub(1)).map(move |hop| (path[hop].index(), p, hop))
+            })
+            .collect();
+        out.sort_unstable();
+        out.dedup();
+        out
     }
 
     /// All node indexes that forward at least one packet.
@@ -372,6 +410,22 @@ mod tests {
         // Certain ⊆ possible.
         for c in &sets.certain {
             assert!(sets.possible.contains(c));
+        }
+    }
+
+    #[test]
+    fn subset_passthroughs_restrict_the_per_node_lists() {
+        let v = three_packet_view();
+        for subset in [vec![0, 1, 2], vec![2, 0], vec![1], vec![0, 0, 2], vec![]] {
+            let mut expected = Vec::new();
+            for node in v.forwarding_nodes() {
+                for &(p, hop) in v.passthroughs(node) {
+                    if subset.contains(&p) {
+                        expected.push((node.index(), p, hop));
+                    }
+                }
+            }
+            assert_eq!(v.subset_passthroughs(&subset), expected, "{subset:?}");
         }
     }
 

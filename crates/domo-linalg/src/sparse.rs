@@ -30,46 +30,70 @@ pub struct CsrMatrix {
 impl CsrMatrix {
     /// Builds a CSR matrix from `(row, col, value)` triplets.
     ///
-    /// Duplicate coordinates are summed; explicit zeros are kept (they
-    /// are harmless and rare in this workspace).
+    /// Duplicate coordinates are summed in input order; explicit zeros
+    /// are kept (they are harmless and rare in this workspace).
+    ///
+    /// The entries are placed by a stable counting sort, by column and
+    /// then by row, so the build is O(triplets + rows + cols) with no
+    /// comparison sort.
     ///
     /// # Panics
     ///
     /// Panics if any triplet is out of bounds.
     pub fn from_triplets(rows: usize, cols: usize, triplets: &[(usize, usize, f64)]) -> Self {
+        let mut col_start = vec![0usize; cols + 1];
+        let mut row_start = vec![0usize; rows + 1];
         for &(r, c, _) in triplets {
             assert!(
                 r < rows && c < cols,
                 "triplet ({r},{c}) out of bounds for {rows}x{cols}"
             );
+            col_start[c + 1] += 1;
+            row_start[r + 1] += 1;
         }
-        let mut sorted = triplets.to_vec();
-        sorted.sort_by_key(|&(r, c, _)| (r, c));
+        for c in 0..cols {
+            col_start[c + 1] += col_start[c];
+        }
+        for r in 0..rows {
+            row_start[r + 1] += row_start[r];
+        }
 
+        // Pass 1: triplet indices bucketed by column, input order kept.
+        let mut by_col = vec![0usize; triplets.len()];
+        for (k, &(_, c, _)) in triplets.iter().enumerate() {
+            by_col[col_start[c]] = k;
+            col_start[c] += 1;
+        }
+        // Pass 2: rebucket by row. Within a row the columns now ascend,
+        // and duplicates of one cell keep their input order.
+        let mut next = row_start.clone();
+        let mut col_idx = vec![0usize; triplets.len()];
+        let mut values = vec![0.0; triplets.len()];
+        for &k in &by_col {
+            let (r, c, v) = triplets[k];
+            col_idx[next[r]] = c;
+            values[next[r]] = v;
+            next[r] += 1;
+        }
+
+        // Sum runs of one cell, compacting in place.
         let mut row_ptr = vec![0usize; rows + 1];
-        let mut col_idx = Vec::with_capacity(sorted.len());
-        let mut values = Vec::with_capacity(sorted.len());
-        for &(r, c, v) in &sorted {
-            // Merge duplicates within the current row.
-            let same_cell = row_ptr[r + 1] > 0
-                && col_idx.len() > row_ptr_start(&row_ptr, r)
-                && col_idx.last() == Some(&c);
-            if same_cell {
-                if let Some(last_v) = values.last_mut() {
-                    *last_v += v;
-                    continue;
+        let mut nz = 0;
+        for r in 0..rows {
+            let row_begin = nz;
+            for p in row_start[r]..row_start[r + 1] {
+                if nz > row_begin && col_idx[nz - 1] == col_idx[p] {
+                    values[nz - 1] += values[p];
+                } else {
+                    col_idx[nz] = col_idx[p];
+                    values[nz] = values[p];
+                    nz += 1;
                 }
             }
-            col_idx.push(c);
-            values.push(v);
-            row_ptr[r + 1] = col_idx.len();
+            row_ptr[r + 1] = nz;
         }
-        // Fill gaps for empty rows: make row_ptr monotone.
-        for r in 0..rows {
-            if row_ptr[r + 1] < row_ptr[r] {
-                row_ptr[r + 1] = row_ptr[r];
-            }
-        }
+        col_idx.truncate(nz);
+        values.truncate(nz);
         Self {
             rows,
             cols,
@@ -187,10 +211,6 @@ impl CsrMatrix {
     }
 }
 
-fn row_ptr_start(row_ptr: &[usize], r: usize) -> usize {
-    row_ptr[r]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,6 +227,90 @@ mod tests {
         assert!(row1.is_empty());
         let row2: Vec<_> = m.row_entries(2).collect();
         assert_eq!(row2, vec![(0, -1.0)]);
+    }
+
+    /// The comparison-sort build the counting sort replaced: a stable
+    /// sort by `(row, col)`, then one pass summing each cell's run.
+    fn reference_from_triplets(
+        rows: usize,
+        cols: usize,
+        triplets: &[(usize, usize, f64)],
+    ) -> CsrMatrix {
+        let mut sorted = triplets.to_vec();
+        sorted.sort_by_key(|&(r, c, _)| (r, c));
+        let mut row_ptr = vec![0usize; rows + 1];
+        let mut col_idx: Vec<usize> = Vec::new();
+        let mut values: Vec<f64> = Vec::new();
+        let mut last: Option<(usize, usize)> = None;
+        for &(r, c, v) in &sorted {
+            if last == Some((r, c)) {
+                *values.last_mut().unwrap() += v;
+            } else {
+                col_idx.push(c);
+                values.push(v);
+                last = Some((r, c));
+            }
+            row_ptr[r + 1] = col_idx.len();
+        }
+        for r in 0..rows {
+            row_ptr[r + 1] = row_ptr[r + 1].max(row_ptr[r]);
+        }
+        CsrMatrix {
+            rows,
+            cols,
+            row_ptr,
+            col_idx,
+            values,
+        }
+    }
+
+    #[test]
+    fn counting_sort_build_matches_a_stable_comparison_sort_bit_for_bit() {
+        let mut rng = domo_util::rng::Xoshiro256pp::seed_from_u64(0xc5a);
+        for case in 0..400 {
+            // Every few cases one dimension is zero (0×n, n×0, 0×0).
+            let rows = if case % 7 == 0 {
+                0
+            } else {
+                rng.range_usize(1..30)
+            };
+            let cols = if case % 11 == 0 {
+                0
+            } else {
+                rng.range_usize(1..30)
+            };
+            let mut triplets = Vec::new();
+            if rows > 0 && cols > 0 {
+                // Few distinct cells hit many times: duplicates, empty
+                // rows, and values whose sum depends on its order.
+                let cells: Vec<(usize, usize)> = (0..1 + rng.range_usize(0..12))
+                    .map(|_| (rng.range_usize(0..rows), rng.range_usize(0..cols)))
+                    .collect();
+                for _ in 0..rng.range_usize(0..60) {
+                    let (r, c) = if rng.bernoulli(0.7) {
+                        cells[rng.range_usize(0..cells.len())]
+                    } else {
+                        (rng.range_usize(0..rows), rng.range_usize(0..cols))
+                    };
+                    let magnitude = 10f64.powi(rng.range_usize(0..24) as i32 - 8);
+                    let v = match rng.range_usize(0..8) {
+                        0 => 0.0,
+                        1 => -0.0,
+                        _ => rng.range_f64(-1.0..1.0) * magnitude,
+                    };
+                    triplets.push((r, c, v));
+                }
+            }
+            let got = CsrMatrix::from_triplets(rows, cols, &triplets);
+            let want = reference_from_triplets(rows, cols, &triplets);
+            assert_eq!(
+                (got.rows, got.cols, &got.row_ptr, &got.col_idx),
+                (want.rows, want.cols, &want.row_ptr, &want.col_idx),
+                "layout, case {case}"
+            );
+            let bits = |m: &CsrMatrix| m.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "values, case {case}");
+        }
     }
 
     #[test]

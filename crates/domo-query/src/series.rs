@@ -225,21 +225,28 @@ impl AggStore {
         Ok(out)
     }
 
+    /// Every node's series in ascending node order, as `(node,
+    /// pruned_through, buckets)`: what [`AggStore::to_parts`] copies,
+    /// borrowed, so a checkpoint can encode the store without first
+    /// holding a second copy of it.
+    pub fn series(
+        &self,
+    ) -> impl ExactSizeIterator<Item = (u16, Option<i64>, &BTreeMap<i64, DelaySketch>)> + '_ {
+        self.nodes
+            .iter()
+            .map(|(&node, series)| (node, series.pruned_through, &series.buckets))
+    }
+
     /// Snapshot for persistence, deterministic ordering throughout.
     pub fn to_parts(&self) -> AggParts {
         AggParts {
             granularity_ms: self.granularity_ms,
             nodes: self
-                .nodes
-                .iter()
-                .map(|(&node, series)| NodeSeriesParts {
+                .series()
+                .map(|(node, pruned_through, buckets)| NodeSeriesParts {
                     node,
-                    pruned_through: series.pruned_through,
-                    buckets: series
-                        .buckets
-                        .iter()
-                        .map(|(&k, s)| (k, s.to_parts()))
-                        .collect(),
+                    pruned_through,
+                    buckets: buckets.iter().map(|(&k, s)| (k, s.to_parts())).collect(),
                 })
                 .collect(),
         }

@@ -357,6 +357,17 @@ impl DelaySketch {
         self.0 = Repr::of(ours);
     }
 
+    /// Length of the bucket list [`DelaySketch::to_parts`] returns,
+    /// without building it (an encoder sizing its buffer needs only
+    /// this).
+    pub fn parts_bucket_count(&self) -> usize {
+        match &self.0 {
+            Repr::Empty => 0,
+            Repr::One(v) => usize::from(*v > 0.0),
+            Repr::Many(parts) => parts.buckets.len(),
+        }
+    }
+
     /// Snapshot for persistence (buckets in ascending index order, so
     /// the encoding is deterministic).
     pub fn to_parts(&self) -> SketchParts {

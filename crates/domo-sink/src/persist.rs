@@ -9,8 +9,8 @@
 //!   network bug.
 //! * **Checkpoint payloads** serialize the mutable service state: every
 //!   shard's [`StreamingSnapshot`], the service counters, the set of
-//!   packet ids durably journaled below the checkpoint's WAL cut, and
-//!   the per-node sojourn accumulators.
+//!   packet ids durably journaled below the checkpoint's WAL cut, the
+//!   per-node sojourn accumulators, and the AGG sketch store.
 //! * **Result records** serialize one emitted reconstruction, keyed in
 //!   the result store's time index by the packet's generation time
 //!   (`hop_times_ms[0]`).
@@ -23,7 +23,7 @@ use crate::wire::{self, WireError};
 use domo_core::streaming::StreamingSnapshot;
 use domo_net::{NodeId, PacketId};
 use domo_query::series::{AggParts, NodeSeriesParts};
-use domo_query::SketchParts;
+use domo_query::{AggStore, SketchParts};
 use domo_store::FsyncPolicy;
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -144,8 +144,9 @@ pub struct RecoveryReport {
     pub checkpoints_skipped: u64,
 }
 
-/// Everything a checkpoint captures. Field-for-field what
-/// [`encode_checkpoint`]/[`decode_checkpoint`] round-trip.
+/// Everything a checkpoint captures, as [`decode_checkpoint`] returns
+/// it; [`encode_checkpoint`] writes the same fields from a
+/// [`CheckpointSource`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct CheckpointState {
     /// One snapshot per shard, in shard order.
@@ -163,6 +164,24 @@ pub struct CheckpointState {
     /// The aggregation-sketch store behind `AGG` queries
     /// ([`domo_query::AggStore::to_parts`]); restores bit-identically.
     pub agg: AggParts,
+}
+
+/// What [`encode_checkpoint`] writes: a [`CheckpointState`]'s fields,
+/// borrowed, with the sketch store read straight from the live
+/// [`AggStore`]. Copying the store into [`AggParts`] first would hold it
+/// twice over at every checkpoint, once as parts and once as bytes.
+#[derive(Debug, Clone, Copy)]
+pub struct CheckpointSource<'a> {
+    /// One snapshot per shard, in shard order.
+    pub shards: &'a [StreamingSnapshot],
+    /// Service counters at the cut (see [`CheckpointState::counters`]).
+    pub counters: [u64; 7],
+    /// Ids of every packet journaled with `lsn <` the cut.
+    pub seen: &'a [PacketId],
+    /// Per-node sojourn accumulators.
+    pub node_stats: &'a [(NodeId, domo_util::running::RunningParts)],
+    /// The aggregation-sketch store behind `AGG` queries.
+    pub agg: &'a AggStore,
 }
 
 /// A persisted format failed to decode.
@@ -250,6 +269,10 @@ impl<'a> Cursor<'a> {
     }
 }
 
+/// Bytes [`put_sketch`] writes before the bucket list, and per bucket.
+const SKETCH_FIXED_LEN: usize = 8 + 8 + 3 * 8 + 4;
+const SKETCH_BUCKET_LEN: usize = 4 + 8;
+
 fn put_sketch(out: &mut Vec<u8>, s: &SketchParts) {
     out.extend_from_slice(&s.count.to_le_bytes());
     out.extend_from_slice(&s.zeros.to_le_bytes());
@@ -289,22 +312,25 @@ fn get_sketch(c: &mut Cursor<'_>) -> Result<SketchParts, PersistError> {
     })
 }
 
-fn put_agg(out: &mut Vec<u8>, agg: &AggParts) {
-    out.extend_from_slice(&agg.granularity_ms.to_le_bytes());
-    out.extend_from_slice(&(agg.nodes.len() as u32).to_le_bytes());
-    for node in &agg.nodes {
-        out.extend_from_slice(&node.node.to_le_bytes());
-        match node.pruned_through {
+/// Writes the store as [`AggStore::to_parts`] would snapshot it, one
+/// bucket's parts at a time.
+fn put_agg(out: &mut Vec<u8>, agg: &AggStore) {
+    out.extend_from_slice(&agg.granularity_ms().to_le_bytes());
+    let series = agg.series();
+    out.extend_from_slice(&(series.len() as u32).to_le_bytes());
+    for (node, pruned_through, buckets) in series {
+        out.extend_from_slice(&node.to_le_bytes());
+        match pruned_through {
             Some(p) => {
                 out.push(1);
                 out.extend_from_slice(&p.to_le_bytes());
             }
             None => out.push(0),
         }
-        out.extend_from_slice(&(node.buckets.len() as u32).to_le_bytes());
-        for (key, sketch) in &node.buckets {
+        out.extend_from_slice(&(buckets.len() as u32).to_le_bytes());
+        for (key, sketch) in buckets {
             out.extend_from_slice(&key.to_le_bytes());
-            put_sketch(out, sketch);
+            put_sketch(out, &sketch.to_parts());
         }
     }
 }
@@ -355,19 +381,23 @@ fn get_pid(c: &mut Cursor<'_>) -> Result<PacketId, PersistError> {
     Ok(PacketId::new(NodeId::new(origin), seq))
 }
 
-/// Serializes a [`CheckpointState`] (the payload handed to
-/// `domo_store::CheckpointStore::save`, which adds magic + checksum).
+/// Serializes a checkpoint (the payload handed to
+/// `domo_store::CheckpointStore::save`, which adds magic + checksum);
+/// [`decode_checkpoint`] reads it back as a [`CheckpointState`].
 ///
 /// # Errors
 ///
 /// [`PersistError::Wire`] if a buffered packet exceeds the wire format's
 /// limits (it was ingested through that format, so this cannot happen
 /// for real traffic).
-pub fn encode_checkpoint(state: &CheckpointState) -> Result<Vec<u8>, PersistError> {
-    let mut out = Vec::new();
+pub fn encode_checkpoint(state: &CheckpointSource<'_>) -> Result<Vec<u8>, PersistError> {
+    // Sized once: grown by doubling, a payload of tens of MB would pass
+    // through every smaller power of two on its way there.
+    let len = checkpoint_len(state);
+    let mut out = Vec::with_capacity(len);
     out.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
     out.extend_from_slice(&(state.shards.len() as u32).to_le_bytes());
-    for s in &state.shards {
+    for s in state.shards {
         out.extend_from_slice(&(s.high_water as u64).to_le_bytes());
         out.extend_from_slice(&s.emitted.to_le_bytes());
         out.extend_from_slice(&s.overflow_dropped.to_le_bytes());
@@ -380,19 +410,50 @@ pub fn encode_checkpoint(state: &CheckpointState) -> Result<Vec<u8>, PersistErro
         out.extend_from_slice(&c.to_le_bytes());
     }
     out.extend_from_slice(&(state.seen.len() as u32).to_le_bytes());
-    for &pid in &state.seen {
+    for &pid in state.seen {
         put_pid(&mut out, pid);
     }
     out.extend_from_slice(&(state.node_stats.len() as u32).to_le_bytes());
-    for &(node, (count, mean, m2, min, max)) in &state.node_stats {
+    for &(node, (count, mean, m2, min, max)) in state.node_stats {
         out.extend_from_slice(&(node.index() as u16).to_le_bytes());
         out.extend_from_slice(&count.to_le_bytes());
         for v in [mean, m2, min, max] {
             out.extend_from_slice(&v.to_bits().to_le_bytes());
         }
     }
-    put_agg(&mut out, &state.agg);
+    put_agg(&mut out, state.agg);
+    debug_assert_eq!(out.len(), len, "checkpoint_len disagrees with the encoder");
     Ok(out)
+}
+
+/// Bytes [`encode_checkpoint`] writes for `state`.
+fn checkpoint_len(state: &CheckpointSource<'_>) -> usize {
+    let shards: usize = state
+        .shards
+        .iter()
+        .map(|s| 3 * 8 + 4 + s.buffer.iter().map(wire::encoded_len).sum::<usize>())
+        .sum();
+    let agg: usize = state
+        .agg
+        .series()
+        .map(|(_, pruned_through, buckets)| {
+            let sketches: usize = buckets
+                .values()
+                .map(|s| 8 + SKETCH_FIXED_LEN + SKETCH_BUCKET_LEN * s.parts_bucket_count())
+                .sum();
+            2 + 1 + if pruned_through.is_some() { 8 } else { 0 } + 4 + sketches
+        })
+        .sum();
+    4 + 4
+        + shards
+        + 8 * state.counters.len()
+        + 4
+        + 6 * state.seen.len()
+        + 4
+        + (2 + 8 + 4 * 8) * state.node_stats.len()
+        + 8
+        + 4
+        + agg
 }
 
 /// Deserializes [`encode_checkpoint`] output.
@@ -530,6 +591,15 @@ mod tests {
     #[test]
     fn checkpoint_state_round_trips_exactly() {
         let trace = run_simulation(&NetworkConfig::small(9, 501));
+        let mut agg = domo_query::AggStore::new(domo_query::AggConfig {
+            granularity_ms: 100,
+            retention_buckets: 2,
+        });
+        for i in 0..8 {
+            agg.record(3, i as f64 * 70.0, 0.3 * i as f64);
+            agg.record(7, i as f64 * 45.0, 1.0 / (i + 1) as f64);
+        }
+        agg.record(9, -0.5, 0.0); // negative-time + zeros bucket
         let state = CheckpointState {
             shards: vec![
                 StreamingSnapshot {
@@ -554,20 +624,16 @@ mod tests {
                     (0, 0.0, 0.0, f64::INFINITY, f64::NEG_INFINITY),
                 ),
             ],
-            agg: {
-                let mut agg = domo_query::AggStore::new(domo_query::AggConfig {
-                    granularity_ms: 100,
-                    retention_buckets: 2,
-                });
-                for i in 0..8 {
-                    agg.record(3, i as f64 * 70.0, 0.3 * i as f64);
-                    agg.record(7, i as f64 * 45.0, 1.0 / (i + 1) as f64);
-                }
-                agg.record(9, -0.5, 0.0); // negative-time + zeros bucket
-                agg.to_parts()
-            },
+            agg: agg.to_parts(),
         };
-        let bytes = encode_checkpoint(&state).unwrap();
+        let bytes = encode_checkpoint(&CheckpointSource {
+            shards: &state.shards,
+            counters: state.counters,
+            seen: &state.seen,
+            node_stats: &state.node_stats,
+            agg: &agg,
+        })
+        .unwrap();
         let back = decode_checkpoint(&bytes).unwrap();
         assert_eq!(back, state);
         // Any truncation fails loudly instead of misparsing.

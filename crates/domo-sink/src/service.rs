@@ -32,7 +32,7 @@
 //!   estimator sees the exact same push sequence (re-emissions are
 //!   deduplicated, losses are counted as `watchdog_dropped`).
 
-use crate::persist::{self, CheckpointState, RecoveryReport, StoreConfig, StoreErrorPolicy};
+use crate::persist::{self, CheckpointSource, RecoveryReport, StoreConfig, StoreErrorPolicy};
 use crate::wire;
 use domo_core::sanitize::{check_packet, SanitizeConfig, TraceError};
 use domo_core::streaming::{ReconstructedPacket, StreamingEstimator, StreamingSnapshot};
@@ -1514,29 +1514,29 @@ impl Core {
         }
         let outcome = if !aborted && snaps.len() == self.shards.len() {
             // Workers are parked, so node summaries *and* the agg
-            // sketches are frozen: both captures are consistent with
-            // the same WAL cut (and with the subscriber streams, which
-            // are only fed from the same worker emissions).
-            let (node_stats, agg) = {
+            // sketches are frozen: both are consistent with the same WAL
+            // cut (and with the subscriber streams, which are only fed
+            // from the same worker emissions). The sketches are encoded
+            // in place, under the store lock, rather than copied out.
+            let encoded = {
                 let st = lock_or_recover(&self.store);
-                let nodes: Vec<(NodeId, domo_util::running::RunningParts)> = st
+                let node_stats: Vec<(NodeId, domo_util::running::RunningParts)> = st
                     .node_stats
                     .iter()
                     .map(|(&node, s)| (node, s.to_parts()))
                     .collect();
-                (nodes, st.agg.to_parts())
+                persist::encode_checkpoint(&CheckpointSource {
+                    shards: &snaps,
+                    counters,
+                    seen: &seen,
+                    node_stats: &node_stats,
+                    agg: &st.agg,
+                })
             };
-            let state = CheckpointState {
-                shards: snaps,
-                counters,
-                seen,
-                node_stats,
-                agg,
-            };
-            match persist::encode_checkpoint(&state) {
+            match encoded {
                 Ok(payload) => {
                     let snaps_for_restart: Vec<Option<StreamingSnapshot>> =
-                        state.shards.into_iter().map(Some).collect();
+                        snaps.into_iter().map(Some).collect();
                     Ok((payload, snaps_for_restart))
                 }
                 Err(e) => Err(std::io::Error::new(
@@ -1575,7 +1575,8 @@ impl Core {
             }
             rs.store.sync()?;
         }
-        persist.checkpoints.save(cut, &payload)?;
+        let payload_len = payload.len();
+        persist.checkpoints.save_owned(cut, payload)?;
         // Update the watchdog's restart baseline after the checkpoint
         // committed but before compaction: a restart pairs this cut
         // with `records_from(cut)`, so the cut must never run ahead of
@@ -1591,7 +1592,7 @@ impl Core {
             target: "domo_sink::persist",
             "checkpoint written",
             covered = cut,
-            bytes = payload.len(),
+            bytes = payload_len,
         );
         Ok(cut)
     }

@@ -271,31 +271,36 @@ fn try_solve_warm_inner(
     let n = problem.num_vars();
     let m_box = problem.num_box_rows();
 
-    // ---- Stack M = [A; S] where S holds PSD selector rows. ----
-    let mut m_triplets: Vec<(usize, usize, f64)> = Vec::new();
-    for r in 0..m_box {
-        for (c, v) in problem.a.row_entries(r) {
-            m_triplets.push((r, c, v));
-        }
-    }
+    // ---- M = [A; S] where S holds PSD selector rows; M = A without
+    // blocks. ----
     // Each PSD block contributes svec-scaled selector rows; remember the
     // (start, dim) of each block segment in the stacked rows.
     let mut block_segments: Vec<(usize, usize)> = Vec::new();
-    let mut row = m_box;
-    for block in &problem.psd_blocks {
-        let dim = block.dim();
-        block_segments.push((row, dim));
-        for j in 0..dim {
-            for i in 0..=j {
-                let var = block.vars()[svec_index(i, j)];
-                let coef = if i == j { 1.0 } else { SQRT2 };
-                m_triplets.push((row, var, coef));
-                row += 1;
+    let stacked;
+    let m = if problem.psd_blocks.is_empty() {
+        &problem.a
+    } else {
+        let mut m_triplets: Vec<(usize, usize, f64)> = Vec::new();
+        for r in 0..m_box {
+            m_triplets.extend(problem.a.row_entries(r).map(|(c, v)| (r, c, v)));
+        }
+        let mut row = m_box;
+        for block in &problem.psd_blocks {
+            let dim = block.dim();
+            block_segments.push((row, dim));
+            for j in 0..dim {
+                for i in 0..=j {
+                    let var = block.vars()[svec_index(i, j)];
+                    let coef = if i == j { 1.0 } else { SQRT2 };
+                    m_triplets.push((row, var, coef));
+                    row += 1;
+                }
             }
         }
-    }
-    let m_total = row;
-    let m = CsrMatrix::from_triplets(m_total, n, &m_triplets);
+        stacked = CsrMatrix::from_triplets(row, n, &m_triplets);
+        &stacked
+    };
+    let m_total = m.rows();
 
     if n == 0 {
         return Ok(Solution {
@@ -313,7 +318,7 @@ fn try_solve_warm_inner(
     let mut rho = settings.rho;
 
     // ---- Factor K = P_sym + σI + ρ MᵀM (sparse LDLᵀ). ----
-    let kkt_terms = KktTerms::new(problem, &m, settings.sigma);
+    let kkt_terms = KktTerms::new(problem, m, settings.sigma);
     let mut k = kkt_terms.at(rho);
     let symbolic = LdlSymbolic::analyze(&k);
     let factor_kkt = |k: &SymSparse| {

@@ -337,8 +337,23 @@ impl QpBuilder {
     ///
     /// Panics if any referenced variable is out of range.
     pub fn add_row(&mut self, entries: &[(usize, f64)], lo: f64, hi: f64) -> usize {
+        self.add_row_from(entries.iter().copied(), lo, hi)
+    }
+
+    /// [`QpBuilder::add_row`] over an iterator of entries, for callers
+    /// that map their terms on the fly rather than collect them first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any referenced variable is out of range.
+    pub fn add_row_from(
+        &mut self,
+        entries: impl IntoIterator<Item = (usize, f64)>,
+        lo: f64,
+        hi: f64,
+    ) -> usize {
         let row = self.l.len();
-        for &(var, coef) in entries {
+        for (var, coef) in entries {
             assert!(var < self.n, "row references variable {var} out of range");
             self.a_triplets.push((row, var, coef));
         }

@@ -104,10 +104,25 @@ impl CheckpointStore {
     ///
     /// Filesystem failures; on error no partial checkpoint is visible.
     pub fn save(&self, covered: u64, payload: &[u8]) -> std::io::Result<()> {
-        let mut bytes = Vec::with_capacity(FILE_MAGIC.len() + 8 + payload.len() + 4);
-        bytes.extend_from_slice(FILE_MAGIC);
-        bytes.extend_from_slice(&covered.to_le_bytes());
-        bytes.extend_from_slice(payload);
+        self.save_owned(covered, payload.to_vec())
+    }
+
+    /// [`CheckpointStore::save`] of a payload the caller hands over: the
+    /// file is framed inside that buffer, so a large checkpoint is never
+    /// held twice.
+    ///
+    /// # Errors
+    ///
+    /// Filesystem failures; on error no partial checkpoint is visible.
+    pub fn save_owned(&self, covered: u64, payload: Vec<u8>) -> std::io::Result<()> {
+        let mut bytes = payload;
+        let mut header = [0u8; FILE_MAGIC.len() + 8];
+        header[..FILE_MAGIC.len()].copy_from_slice(FILE_MAGIC);
+        header[FILE_MAGIC.len()..].copy_from_slice(&covered.to_le_bytes());
+        // Exact room for the frame: `splice` alone would grow the
+        // buffer by doubling, allocating twice the payload.
+        bytes.reserve_exact(header.len() + 4);
+        bytes.splice(0..0, header);
         let sum = fnv1a32(&bytes);
         bytes.extend_from_slice(&sum.to_le_bytes());
 
@@ -213,6 +228,22 @@ mod tests {
         assert_eq!(latest.payload, b"state-c");
         // Only the newest KEEP survive.
         assert_eq!(store.count().unwrap(), KEEP);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn owned_save_writes_the_documented_layout() {
+        let dir = tmp("owned");
+        let store = CheckpointStore::open(&dir).unwrap();
+        let payload: Vec<u8> = (0..=255u8).cycle().take(5000).collect();
+        store.save_owned(0x1234, payload.clone()).unwrap();
+        let mut want = FILE_MAGIC.to_vec();
+        want.extend_from_slice(&0x1234u64.to_le_bytes());
+        want.extend_from_slice(&payload);
+        let sum = fnv1a32(&want);
+        want.extend_from_slice(&sum.to_le_bytes());
+        assert_eq!(std::fs::read(ckpt_path(&dir, 0x1234)).unwrap(), want);
+        assert_eq!(store.latest().unwrap().unwrap().payload, payload);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

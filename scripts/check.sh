@@ -30,7 +30,9 @@
 #                        committed BENCH_sink.json, then refreshes it
 #   5. estimator bench   domo-exp bench: fails if single-thread window
 #                        throughput regressed >20% vs the committed
-#                        BENCH_estimator.json, then refreshes the file
+#                        BENCH_estimator.json; compares only, so the
+#                        baseline cannot ratchet (rewrite it on purpose
+#                        with `domo-exp bench --accept`)
 #   6. print hygiene     library crates must route diagnostics through
 #                        domo-obs events, not println!/eprintln! (binaries
 #                        under src/bin/ are exempt; comments ignored)
@@ -124,7 +126,7 @@ echo "==> domo-sink smoke (end-to-end over loopback TCP)"
 echo "==> domo-sink bench (gates on BENCH_sink.json, then refreshes it)"
 ./target/release/domo-sink bench --nodes 16 --seed 7 --baseline BENCH_sink.json
 
-echo "==> domo-exp bench (gates on BENCH_estimator.json, then refreshes it)"
+echo "==> domo-exp bench (gates on BENCH_estimator.json, leaves it unchanged)"
 ./target/release/domo-exp bench --baseline BENCH_estimator.json
 
 echo "==> print hygiene (library code must use domo-obs events)"

@@ -213,3 +213,41 @@ fn estimate_accuracy_is_pinned_to_the_dense_kkt_reference() {
         );
     }
 }
+
+/// Every streamed reconstruction pinned by bits. The digest is FNV-1a
+/// over the little-endian `to_bits` of every emitted hop time, in
+/// emission order, recorded before a flush solved only the windows it
+/// emits (it used to solve every window of the buffer and drop the
+/// newer ones) and before the window lowering stopped sorting and
+/// hashing. Any drift in any last digit of any packet changes it.
+#[test]
+fn streamed_reconstructions_are_pinned_bit_for_bit() {
+    let mut net = NetworkConfig::paper_scale(100, 7);
+    net.duration = SimDuration::from_secs(420);
+    let mut trace = run_simulation(&net);
+    assert!(
+        trace.packets.len() >= 2000,
+        "{} packets",
+        trace.packets.len()
+    );
+    trace.packets.truncate(2000);
+
+    let mut online = domo::core::StreamingEstimator::new(EstimatorConfig::default());
+    let mut emitted = Vec::new();
+    for p in &trace.packets {
+        emitted.extend(online.push(p.clone()));
+    }
+    emitted.extend(online.finish());
+    assert_eq!(emitted.len(), 2000);
+
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    for r in &emitted {
+        for t in &r.hop_times_ms {
+            for byte in t.to_bits().to_le_bytes() {
+                digest ^= u64::from(byte);
+                digest = digest.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+    }
+    assert_eq!(digest, 0xe6f4_94ef_54d1_8f0f, "digest {digest:016x}");
+}
